@@ -103,11 +103,13 @@ bench-diff:
 # the blocking baseline by at least 1.5x in simulated cycles at 100
 # cycles of memory latency on every benchmark scene, and n=NumCPU
 # coordinated shard workers must beat one worker process by at least
-# 1.5x on a warm trace store. The timing gates are plain tests (skipped
-# under -short and under -race); the cycle gate is exact and runs
-# everywhere.
+# 1.5x on a warm trace store, and the stack-distance profiler must cost
+# at most 6x the cache kernel per address on the Goblet trace (medians of
+# interleaved repetitions in one process). The timing gates are plain
+# tests (skipped under -short and under -race); the cycle gate is exact
+# and runs everywhere.
 bench-check:
-	go test -count=1 -run 'TestGroupedSweepSpeedup|TestTraceStoreWarmSpeedup|TestResultCacheWarmSpeedup|TestArchLatencyTolerance|TestTraceGenParallelSpeedup|TestBatchReplaySpeedup|TestShardScaling' .
+	go test -count=1 -run 'TestGroupedSweepSpeedup|TestTraceStoreWarmSpeedup|TestResultCacheWarmSpeedup|TestArchLatencyTolerance|TestTraceGenParallelSpeedup|TestBatchReplaySpeedup|TestStackDistBatchRatio|TestShardScaling' .
 	go test -count=1 -run 'TestServerWarmSpeedup' ./cmd/texserve
 
 # bench-server reruns the texserve saturation gate and records its

@@ -37,7 +37,9 @@
 // X-Texcache-Tenant header; requests without one share an anonymous
 // bucket. Every response carries X-Texcache-Api-Version; error bodies
 // are JSON {"v","code","error","field"} documents with wire-stable
-// codes. SIGINT / SIGTERM drain in-flight requests before exit.
+// codes. A connection is closed when its request headers take longer
+// than 5 s or it sits idle for 60 s. SIGINT / SIGTERM drain in-flight
+// requests before exit.
 package main
 
 import (
@@ -58,6 +60,21 @@ import (
 
 func main() {
 	os.Exit(run())
+}
+
+// Connection timeouts. A client must send its request headers within
+// readHeaderTimeout, and a keep-alive connection idle for idleTimeout is
+// closed, so a slow or silent client cannot hold a connection open. The
+// body and the response stay unbounded: a large sweep streams its rows
+// for as long as it runs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
+// newHTTPServer serves h with the connection timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func run() int {
@@ -104,7 +121,7 @@ func run() int {
 	fmt.Fprintf(os.Stderr, "texserve: listening on %s (workers %d, queue %d/tenant)\n",
 		ln.Addr(), *workers, *queue)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

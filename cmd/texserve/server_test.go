@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"texcache"
 )
@@ -310,6 +313,52 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s status = %d, want 200", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestServerClosesStalledHeader checks the connection timeouts: a
+// client that sends half a request header and then stalls has its
+// connection closed by the server once readHeaderTimeout passes, rather
+// than holding it open for as long as it likes.
+func TestServerClosesStalledHeader(t *testing.T) {
+	t.Parallel()
+	s, err := newServer(serverConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(s.Handler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("server timeouts: header %v idle %v, want %v and %v",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	t.Cleanup(func() { hs.Close() })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: texserve\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	n, err := conn.Read(make([]byte, 512))
+	elapsed := time.Since(start)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled connection still open after %v", elapsed)
+	}
+	if err == nil {
+		t.Fatalf("server answered %d bytes to an unfinished header", n)
+	}
+	if elapsed < readHeaderTimeout-time.Second {
+		t.Errorf("connection closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
 	}
 }
 

@@ -177,36 +177,9 @@ func TestAccessBatchMissObserver(t *testing.T) {
 	assertCacheEqual(t, cfg.String(), scalar, batch)
 }
 
-// assertStackDistEqual compares every observable and internal fact of
-// two profilers: totals, the full distance histogram, the live-line
-// recency map and the virtual clock.
-func assertStackDistEqual(t *testing.T, label string, want, got *StackDist) {
-	t.Helper()
-	if want.accesses != got.accesses || want.cold != got.cold || want.now != got.now {
-		t.Fatalf("%s: profile diverges: scalar (acc %d cold %d now %d) batch (acc %d cold %d now %d)",
-			label, want.accesses, want.cold, want.now, got.accesses, got.cold, got.now)
-	}
-	if len(want.hist) != len(got.hist) {
-		t.Fatalf("%s: hist length diverges: scalar %d batch %d", label, len(want.hist), len(got.hist))
-	}
-	for d := range want.hist {
-		if want.hist[d] != got.hist[d] {
-			t.Fatalf("%s: hist[%d] diverges: scalar %d batch %d", label, d, want.hist[d], got.hist[d])
-		}
-	}
-	if len(want.lastTime) != len(got.lastTime) {
-		t.Fatalf("%s: live-line count diverges: scalar %d batch %d", label, len(want.lastTime), len(got.lastTime))
-	}
-	for la, wt := range want.lastTime {
-		if gt, ok := got.lastTime[la]; !ok || gt != wt {
-			t.Fatalf("%s: lastTime[%#x] diverges: scalar %d batch %d (present %v)", label, la, wt, gt, ok)
-		}
-	}
-}
-
 // TestStackDistBatchMatchesScalar checks the profiler's batch kernel
-// reproduces the scalar profile bit-for-bit — histogram, cold count and
-// internal recency state — across line sizes and batch boundaries.
+// reproduces the scalar profile bit-for-bit — histogram, cold count,
+// distinct lines and accesses — across line sizes and batch boundaries.
 func TestStackDistBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := diffTrace(5, 30000)
@@ -222,45 +195,13 @@ func TestStackDistBatchMatchesScalar(t *testing.T) {
 			lo += n
 		}
 		batch.AccessBatch(nil)
-		assertStackDistEqual(t, "line "+FormatSize(line), scalar, batch)
+		assertProfileEqual(t, "line "+FormatSize(line), profileOf(scalar), profileOf(batch))
 		for _, size := range []int{1 << 10, 16 << 10, 256 << 10} {
 			if s, b := scalar.MissRateAt(size), batch.MissRateAt(size); s != b {
 				t.Fatalf("line %d: MissRateAt(%d) diverges: scalar %v batch %v", line, size, s, b)
 			}
 		}
 	}
-}
-
-// TestStackDistBatchCompaction drives both profilers across the Fenwick
-// compaction boundary with the clock pre-advanced to just below the cap,
-// so a batch block straddles the compaction. The batch kernel must
-// compact at exactly the access the scalar path does, or distances after
-// renumbering diverge.
-func TestStackDistBatchCompaction(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	addrs := make([]uint64, 8192)
-	for i := range addrs {
-		addrs[i] = uint64(rng.Intn(1<<14)) * 64
-	}
-	scalar := NewStackDist(64)
-	batch := NewStackDist(64)
-	// Jump the virtual clock to force compactions inside the replay; the
-	// offset is identical on both sides, so profiles must stay identical.
-	scalar.now = fenwickCap - 1000
-	batch.now = fenwickCap - 1000
-
-	for _, a := range addrs {
-		scalar.Access(a)
-	}
-	for lo := 0; lo < len(addrs); {
-		n := min(rng.Intn(777), len(addrs)-lo)
-		batch.AccessBatch(addrs[lo : lo+n])
-		lo += n
-	}
-	if scalar.now >= fenwickCap-1000+int32(len(addrs)) {
-		t.Fatal("test never crossed the compaction boundary")
-	}
-	assertStackDistEqual(t, "compaction", scalar, batch)
 }
 
 // TestGroupSimAccessBatch feeds one grouped-sweep plan per address and a

@@ -57,14 +57,9 @@ type groupSim struct {
 	nodes []gsNode
 	head  int32
 
-	// Line address -> stack slot, as an insert-only open-addressing table
-	// (the stack never evicts, so no deletions and no tombstones). One
-	// multiplicative hash plus a short linear probe beats the general map
-	// on this single hottest lookup of the walk.
-	htKeys  []uint64
-	htSlots []int32
-	htShift uint // 64 - log2(len(htSlots)); hash = (la * phi) >> htShift
-	htUsed  int
+	// Line address -> stack slot (the stack never evicts, so the
+	// insert-only index never needs a deletion).
+	index lineIndex
 
 	bucket []uint64 // scratch: intervening lines by shared-low-bit count
 	cnt    []uint64 // scratch: suffix sums of bucket
@@ -78,10 +73,6 @@ type gsNode struct {
 	next int32
 }
 
-// gsHashMul is the 64-bit golden-ratio multiplier of Fibonacci hashing;
-// the table start index is its product's top bits.
-const gsHashMul = 0x9E3779B97F4A7C15
-
 // newGroupSim returns an empty group for one line size. Configurations
 // are registered with add before the trace is replayed.
 func newGroupSim(lineBytes int) *groupSim {
@@ -91,58 +82,8 @@ func newGroupSim(lineBytes int) *groupSim {
 		bucket:    make([]uint64, 1),
 		cnt:       make([]uint64, 1),
 	}
-	g.htInit(13)
+	g.index.init(13)
 	return g
-}
-
-// htInit sizes the hash table at 2^logCap slots, all empty.
-func (g *groupSim) htInit(logCap uint) {
-	g.htKeys = make([]uint64, 1<<logCap)
-	g.htSlots = make([]int32, 1<<logCap)
-	for i := range g.htSlots {
-		g.htSlots[i] = nilNode
-	}
-	g.htShift = 64 - logCap
-	g.htUsed = 0
-}
-
-// htFind probes for la, returning its stack slot, the table index the
-// probe ended at (la's index on hit, the insertion point on miss), and
-// whether it was found.
-func (g *groupSim) htFind(la uint64) (int32, uint64, bool) {
-	mask := uint64(len(g.htSlots) - 1)
-	for j := (la * gsHashMul) >> g.htShift; ; j = (j + 1) & mask {
-		s := g.htSlots[j]
-		if s == nilNode {
-			return 0, j, false
-		}
-		if g.htKeys[j] == la {
-			return s, j, true
-		}
-	}
-}
-
-// htInsert records la -> slot at the probe position htFind returned,
-// growing (and re-probing) when the table passes 3/4 load.
-func (g *groupSim) htInsert(la uint64, slot int32, j uint64) {
-	if g.htUsed >= len(g.htSlots)/4*3 {
-		old := g.htSlots
-		oldKeys := g.htKeys
-		oldUsed := g.htUsed
-		g.htInit(64 - g.htShift + 1)
-		for i, s := range old {
-			if s != nilNode {
-				_, jj, _ := g.htFind(oldKeys[i])
-				g.htKeys[jj] = oldKeys[i]
-				g.htSlots[jj] = s
-			}
-		}
-		g.htUsed = oldUsed
-		_, j, _ = g.htFind(la)
-	}
-	g.htKeys[j] = la
-	g.htSlots[j] = slot
-	g.htUsed++
 }
 
 // add registers one validated LRU configuration with the group's line
@@ -175,7 +116,7 @@ func (g *groupSim) Access(addr uint64) {
 		// a filter footprint fetches the same line several times in a row.
 		return
 	}
-	i, j, ok := g.htFind(la)
+	i, j, ok := g.index.find(la)
 	if !ok {
 		// First-ever reference: a cold miss in every configuration, and
 		// the new line becomes the most recent. O(1) regardless of how
@@ -184,7 +125,7 @@ func (g *groupSim) Access(addr uint64) {
 		n := int32(len(g.nodes))
 		g.nodes = append(g.nodes, gsNode{addr: la, next: g.head})
 		g.head = n
-		g.htInsert(la, n, j)
+		g.index.insert(la, n, j)
 		return
 	}
 

@@ -77,25 +77,6 @@ func TestStackDistMatchesDirectSimulation(t *testing.T) {
 	}
 }
 
-func TestStackDistCompaction(t *testing.T) {
-	// Force a compaction by exceeding the Fenwick capacity, then check
-	// distances still match a direct simulation. Use a small synthetic
-	// cap via many accesses over few lines: compaction triggers on the
-	// clock, not on distinct lines, so a long trace suffices.
-	s := NewStackDist(4)
-	n := fenwickCap + 1000
-	// Cycle over 8 lines: distances are all 8 after warmup.
-	for i := 0; i < n; i++ {
-		s.Access(uint64(i%8) * 4)
-	}
-	if got := s.MissesAt(8); got != 8 {
-		t.Errorf("MissesAt(8) = %d, want 8 (cold only)", got)
-	}
-	if got := s.MissesAt(7); got != uint64(n) {
-		t.Errorf("MissesAt(7) = %d, want %d (every access misses)", got, n)
-	}
-}
-
 func TestStackDistCurve(t *testing.T) {
 	s := NewStackDist(32)
 	for i := 0; i < 10000; i++ {

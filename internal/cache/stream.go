@@ -16,8 +16,12 @@ import (
 // stream's representation, because every cursor yields the exact
 // recorded address order.
 
-// ReplayStream feeds the whole stream to each sink in turn, as Replay
-// does for a materialized trace (to which it defers when s is a *Trace).
+// ReplayStream feeds the whole stream to every sink, as Replay does for
+// a materialized trace (to which it defers when s is a *Trace). Any
+// other stream is decoded once: each block goes to every sink before
+// the next is decoded. Sinks are independent, so interleaving them
+// block by block leaves each with exactly the state a whole-stream pass
+// of its own would.
 func ReplayStream(s AddrStream, sinks ...Sink) {
 	if t, ok := s.(*Trace); ok {
 		t.Replay(sinks...)
@@ -28,28 +32,36 @@ func ReplayStream(s AddrStream, sinks ...Sink) {
 	if reg != nil {
 		start = time.Now()
 	}
-	for _, sink := range sinks {
-		replayCursor(s.Cursor(), sink)
+	if len(sinks) > 0 {
+		cur := s.Cursor()
+		for block := cur.Next(); block != nil; block = cur.Next() {
+			for _, sink := range sinks {
+				feedBlock(sink, block)
+			}
+		}
 	}
 	if reg != nil {
 		flushReplay(reg, start, uint64(s.Len())*uint64(len(sinks)), "pass")
 	}
 }
 
-// replayCursor drains one cursor into one sink. Batch-capable sinks
-// (caches, the profilers, the grouped simulator) consume whole blocks,
-// so their hot loops avoid the per-address interface call, as in Replay.
-func replayCursor(cur Cursor, sink Sink) {
+// feedBlock hands one block to one sink. Batch-capable sinks (caches,
+// the profilers, the grouped simulator) consume it whole, so their hot
+// loops avoid the per-address interface call, as in Replay.
+func feedBlock(sink Sink, block []uint64) {
 	if bs, ok := sink.(batchSink); ok {
-		for block := cur.Next(); block != nil; block = cur.Next() {
-			bs.AccessBatch(block)
-		}
+		bs.AccessBatch(block)
 		return
 	}
+	for _, a := range block {
+		sink.Access(a)
+	}
+}
+
+// replayCursor drains one cursor into one sink.
+func replayCursor(cur Cursor, sink Sink) {
 	for block := cur.Next(); block != nil; block = cur.Next() {
-		for _, a := range block {
-			sink.Access(a)
-		}
+		feedBlock(sink, block)
 	}
 }
 

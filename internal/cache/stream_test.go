@@ -102,6 +102,79 @@ func TestReplayStreamMatchesReplay(t *testing.T) {
 	}
 }
 
+// decodingStream stands in for an encoded trace: every cursor copies
+// each block into a buffer it reuses, as a decoder would, and the
+// stream counts the cursors and blocks it hands out.
+type decodingStream struct {
+	t               *Trace
+	cursors, blocks int
+}
+
+func (d *decodingStream) Len() int { return d.t.Len() }
+func (d *decodingStream) Cursor() Cursor {
+	d.cursors++
+	return &decodingCursor{d: d, cur: d.t.Cursor()}
+}
+
+type decodingCursor struct {
+	d   *decodingStream
+	cur Cursor
+	buf []uint64
+}
+
+func (c *decodingCursor) Next() []uint64 {
+	b := c.cur.Next()
+	if b == nil {
+		return nil
+	}
+	c.d.blocks++
+	c.buf = append(c.buf[:0], b...)
+	return c.buf
+}
+
+// TestReplayStreamDecodesOnce checks that a multi-sink ReplayStream
+// decodes the stream once, block by block, while every sink — batch
+// capable or not — still ends bit-identical to a materialized replay and
+// the address volume still counts every sink.
+func TestReplayStreamDecodesOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Attach(reg)
+	defer obs.Detach()
+
+	tr := syntheticTrace(3*replayChunkLen + 17)
+	cfg := Config{SizeBytes: 8 << 10, LineBytes: 32, Ways: 2}
+	want := New(cfg)
+	wantSD := NewStackDist(64)
+	var wantRec Trace
+	tr.Replay(want.Sink(), wantSD, &wantRec)
+
+	s := &decodingStream{t: tr}
+	got := New(cfg)
+	gotSD := NewStackDist(64)
+	var gotRec Trace // a plain Sink: takes the per-address path
+	before := reg.Sub("replay").Counter("addresses").Value()
+	ReplayStream(s, got.Sink(), gotSD, &gotRec)
+
+	if s.cursors != 1 || s.blocks != 4 {
+		t.Errorf("ReplayStream took %d cursors and %d blocks, want 1 and 4", s.cursors, s.blocks)
+	}
+	if got.Stats() != want.Stats() {
+		t.Errorf("cache stats %+v, want %+v", got.Stats(), want.Stats())
+	}
+	assertProfileEqual(t, "stack profile", profileOf(wantSD), profileOf(gotSD))
+	if len(gotRec.Addrs) != len(wantRec.Addrs) {
+		t.Fatalf("recorded %d addresses, want %d", len(gotRec.Addrs), len(wantRec.Addrs))
+	}
+	for i := range wantRec.Addrs {
+		if gotRec.Addrs[i] != wantRec.Addrs[i] {
+			t.Fatalf("recorded address %d = %d, want %d", i, gotRec.Addrs[i], wantRec.Addrs[i])
+		}
+	}
+	if n := reg.Sub("replay").Counter("addresses").Value() - before; n != 3*uint64(tr.Len()) {
+		t.Errorf("replay.addresses grew by %d, want %d (len x sinks)", n, 3*tr.Len())
+	}
+}
+
 func TestReplayStreamConcurrentMatchesSerial(t *testing.T) {
 	tr := syntheticTrace(200000)
 	cfgs := []Config{

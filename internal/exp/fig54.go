@@ -67,11 +67,15 @@ func runFig54(ctx context.Context, cfg Config, rep report.Reporter) error {
 			if err != nil {
 				return err
 			}
+			// One pass over the trace feeds every line size's profiler.
+			sinks := make([]cache.Sink, len(fig54Lines))
+			for i, line := range fig54Lines {
+				sinks[i] = cache.NewStackDist(line)
+			}
+			cache.ReplayStream(tr, sinks...)
 			vals := []any{fmt.Sprintf("%dx%d (%s)", bw, bw, cache.FormatSize(lineForBlock(bw)))}
-			for _, line := range fig54Lines {
-				sd := cache.NewStackDist(line)
-				cache.ReplayStream(tr, sd)
-				vals = append(vals, 100*sd.MissRateAt(cacheSize))
+			for _, sd := range sinks {
+				vals = append(vals, 100*sd.(*cache.StackDist).MissRateAt(cacheSize))
 			}
 			rep.Row(vals...)
 		}

@@ -1,11 +1,14 @@
 package texcache_test
 
-// Bench-check speedup gates for the two fast paths this engine leans
-// on: tile-parallel trace generation and batched trace replay. Both run
-// best-of-3 against a warmed baseline, like TestGroupedSweepSpeedup.
+// Bench-check speedup gates for the fast paths this engine leans on:
+// tile-parallel trace generation and batched trace replay run best-of-3
+// against a warmed baseline, like TestGroupedSweepSpeedup; the
+// stack-distance profiler is held to a cost ratio against the cache
+// kernel.
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -125,5 +128,70 @@ func TestBatchReplaySpeedup(t *testing.T) {
 	if speedup < 1.3 {
 		t.Errorf("batch replay speedup %.2fx, want >= 1.3x (per-address %v, batched %v)",
 			speedup, scalar, batch)
+	}
+}
+
+// TestStackDistBatchRatio is the bench-check gate for the stack-distance
+// profiler: fed the Goblet benchmark trace in Replay-sized blocks, its
+// time per address must stay within 6x of the set-associative cache
+// kernel's on the same trace. Both kernels run in one process with
+// their repetitions interleaved and are compared by median, so host
+// speed drift cancels out of the ratio.
+func TestStackDistBatchRatio(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing gate skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("timing gate skipped under the race detector")
+	}
+	s := mustScene(t, "goblet", benchScale())
+	tr, _, err := s.Trace(texcache.LayoutSpec{Kind: texcache.Blocked, BlockW: 8},
+		s.DefaultTraversal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each repetition cycles the trace to about 1M addresses, as the
+	// benchmarks do, so a timing spans milliseconds, not microseconds.
+	const block = 1 << 14 // Replay's chunk size
+	passes := max(1, (1<<20)/tr.Len())
+	feed := func(batch func([]uint64)) time.Duration {
+		start := time.Now()
+		for range passes {
+			for lo := 0; lo < len(tr.Addrs); lo += block {
+				batch(tr.Addrs[lo:min(lo+block, len(tr.Addrs))])
+			}
+		}
+		return time.Since(start)
+	}
+	stackDist := func() time.Duration {
+		return feed(texcache.NewStackDist(128).AccessBatch)
+	}
+	cacheBatch := func() time.Duration {
+		c, err := texcache.NewCache(texcache.CacheConfig{SizeBytes: 32 << 10, LineBytes: 128, Ways: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return feed(func(addrs []uint64) { c.AccessBatch(addrs) })
+	}
+	stackDist() // warm-up: page the trace in
+	cacheBatch()
+
+	const reps = 9
+	var sd, cb []time.Duration
+	for i := 0; i < reps; i++ {
+		sd = append(sd, stackDist())
+		cb = append(cb, cacheBatch())
+	}
+	slices.Sort(sd)
+	slices.Sort(cb)
+	n := float64(passes * tr.Len())
+	sdNs := float64(sd[reps/2].Nanoseconds()) / n
+	cbNs := float64(cb[reps/2].Nanoseconds()) / n
+	ratio := sdNs / cbNs
+	t.Logf("StackDist batch %.1f ns/addr, Cache batch %.1f ns/addr: %.2fx over %d passes of %d addresses",
+		sdNs, cbNs, ratio, passes, tr.Len())
+	if ratio > 6 {
+		t.Errorf("StackDist batch costs %.2fx the cache kernel per address, want <= 6x (%.1f vs %.1f ns/addr)",
+			ratio, sdNs, cbNs)
 	}
 }
