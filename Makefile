@@ -39,14 +39,16 @@ deprecated:
 
 # The race leg skips the golden sweep (build-tag gated: byte-identity
 # gains nothing from the race detector and costs ~10x); the golden leg
-# reruns it without -race.
+# reruns it without -race, together with the paper batch's frame budget
+# (exact frame counts of a cold and a warm batch: a new private
+# re-render fails a test instead of drifting a benchmark).
 test:
 	go test -race ./...
 	$(MAKE) golden
 
 golden:
-	go test -count=1 -run TestGoldenExperimentOutputs .
-	go test -count=1 -run '^Fuzz' ./internal/cache ./internal/texture
+	go test -count=1 -run 'TestGoldenExperimentOutputs|TestPaperFrameBudget' .
+	go test -count=1 -run '^Fuzz' ./internal/arch ./internal/cache ./internal/texture
 
 # cover enforces ratcheted coverage floors on the simulator-core
 # packages: raise a floor when coverage improves, never lower it.
@@ -65,7 +67,7 @@ cover:
 # pair measures the tile-parallel render path against the serial scan;
 # the TraceEncode/TraceDecode pair and the TraceStore cold/warm pair
 # track the compact trace codec and the persistent store.
-BENCH_REGEX = BenchmarkSerialSweep|BenchmarkGroupedSweep|BenchmarkEngineSweep|BenchmarkEngineBatch|BenchmarkCacheAccess|BenchmarkStackDist|BenchmarkTraceGen|BenchmarkTraceEncode|BenchmarkTraceDecode|BenchmarkTraceStore|BenchmarkArch|BenchmarkShardedGrid|BenchmarkResultCache
+BENCH_REGEX = BenchmarkSerialSweep|BenchmarkGroupedSweep|BenchmarkEngineSweep|BenchmarkEngineBatch|BenchmarkCacheAccess|BenchmarkStackDist|BenchmarkTraceGen|BenchmarkTraceEncode|BenchmarkTraceDecode|BenchmarkTraceStore|BenchmarkArch|BenchmarkShardedGrid|BenchmarkResultCache|BenchmarkParallel|BenchmarkLocality
 
 bench:
 	go test -run '^$$' -bench '$(BENCH_REGEX)' \

@@ -307,14 +307,29 @@ func (t *Timeline) Simulate(cfg Config) (Result, error) {
 	bRing := make([]uint64, lead)            // filter finish times, last `lead` accesses
 	retireRing := make([]uint64, resDepth+1) // result-FIFO retire times
 
+	// The loop divides nothing. Access i's ring slot, i mod lead, is the
+	// one that holds access i-lead ((i-lead) mod lead == i mod lead), and
+	// fragment g's result slot holds fragment g-1-resDepth
+	// ((g-1-resDepth) mod (resDepth+1) == g mod (resDepth+1)), so each
+	// ring is read at the slot about to be overwritten. Ring indices and
+	// the position within the fragment wrap by comparison.
+	nextMiss := noMiss
+	if len(t.misses) > 0 {
+		nextMiss = t.misses[0]
+	}
 	var (
 		fPrev, bPrev, rPrev uint64 // previous tag, filter, retire times
 		channelFree         uint64 // single memory channel busy-until
 		fillDone            uint64
 		j                   int    // next miss ordinal
 		fifoPtr             uint64 // oldest access still in the fragment FIFO
+		fifoSlot            uint64 // fifoPtr's bRing slot
 		robPtr, inflPtr     int    // released / completed miss pointers
 		maxOccAcc           uint64 // fragment-FIFO high water, in accesses
+		bSlot               uint64 // access i's bRing slot, i mod lead
+		pos                 uint64 // access i's position in its fragment, i mod fragTex
+		g                   uint64 // access i's fragment, i / fragTex
+		gSlot               uint64 // fragment g's retireRing slot
 	)
 	for i := uint64(0); i < n; i++ {
 		// Tag stage: one access per unit, blocked by fragment-FIFO
@@ -325,11 +340,11 @@ func (t *Timeline) Simulate(cfg Config) (Result, error) {
 		// completes, so each miss costs the full fill round trip.
 		f := fPrev + 1
 		if i >= lead {
-			if w := bRing[(i-lead)%lead] + 1; w > f {
+			if w := bRing[bSlot] + 1; w > f {
 				f = w
 			}
 		}
-		isMiss := j < len(t.misses) && t.misses[j] == i
+		isMiss := i == nextMiss
 		if isMiss {
 			// A miss also needs a request-FIFO slot (freed when the
 			// channel accepts request j-R) and a reorder-buffer slot
@@ -345,8 +360,11 @@ func (t *Timeline) Simulate(cfg Config) (Result, error) {
 				}
 			}
 		}
-		for fifoPtr < i && bRing[fifoPtr%lead] < f {
+		for fifoPtr < i && bRing[fifoSlot] < f {
 			fifoPtr++
+			if fifoSlot++; fifoSlot == lead {
+				fifoSlot = 0
+			}
 		}
 		if occ := i - fifoPtr + 1; occ > maxOccAcc {
 			maxOccAcc = occ
@@ -383,32 +401,44 @@ func (t *Timeline) Simulate(cfg Config) (Result, error) {
 		if isMiss && fillDone > b {
 			b = fillDone
 		}
-		if i%fragTex == 0 {
+		if pos == 0 && g > resDepth {
 			// Fragment start: a result-FIFO slot must be free, i.e.
 			// fragment g-1-resDepth has retired.
-			if g := i / fragTex; g > resDepth {
-				if w := retireRing[(g-1-resDepth)%(resDepth+1)]; w > b {
-					b = w
-				}
+			if w := retireRing[gSlot]; w > b {
+				b = w
 			}
 		}
-		bRing[i%lead] = b
+		bRing[bSlot] = b
+		if bSlot++; bSlot == lead {
+			bSlot = 0
+		}
 		if isMiss {
 			release[j] = b
 			j++
+			nextMiss = noMiss
+			if j < len(t.misses) {
+				nextMiss = t.misses[j]
+			}
 		}
 
 		// Retire stage: the finished fragment leaves the result FIFO at
 		// its own filter rate (size texels per fragment slot).
-		if (i+1)%fragTex == 0 || i+1 == n {
-			size := i%fragTex + 1
+		if pos+1 == fragTex || i+1 == n {
+			size := pos + 1
 			r := b
 			if w := rPrev + size; w > r {
 				r = w
 			}
-			retireRing[(i/fragTex)%(resDepth+1)] = r
+			retireRing[gSlot] = r
 			rPrev = r
 			res.Fragments++
+		}
+		if pos++; pos == fragTex {
+			pos = 0
+			g++
+			if gSlot++; gSlot == resDepth+1 {
+				gSlot = 0
+			}
 		}
 		fPrev, bPrev = f, b
 	}
@@ -441,3 +471,7 @@ func Simulate(cfg Config, s cache.AddrStream) (Result, error) {
 }
 
 func ceilDiv(a, b uint64) uint64 { return (a + b - 1) / b }
+
+// noMiss is the next-miss position once every miss has been consumed:
+// no access index reaches it.
+const noMiss = ^uint64(0)

@@ -23,6 +23,16 @@ func init() {
 		Title: "DRAM page behavior and bus utilization of the fill stream " +
 			"vs line size (Section 3.2)",
 		Run: runDRAM,
+		Needs: func(cfg Config) []TraceKey {
+			var keys []TraceKey
+			for _, name := range cfg.sceneList(scenes.Names()...) {
+				for _, line := range dramLines {
+					keys = append(keys, TraceKey{Scene: name,
+						Layout: dramLayout(line), Traversal: DefaultTraversalFor(name)})
+				}
+			}
+			return keys
+		},
 	})
 	register(Experiment{
 		ID: "prefetch",
@@ -53,35 +63,21 @@ func runDRAM(ctx context.Context, cfg Config, rep report.Reporter) error {
 		{Name: "eff MB/s", Head: " %12s", Cell: " %12.0f"},
 	})
 	for _, name := range cfg.sceneList(scenes.Names()...) {
-		s, err := buildScene(cfg, name)
-		if err != nil {
-			return err
-		}
-		for _, line := range []int{32, 64, 128, 256} {
+		for _, line := range dramLines {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			bw := 8
-			if line < 256 {
-				bw = line / (4 * texture.TexelBytes) // block matched to line
-				if bw < 1 {
-					bw = 1
-				}
+			tr, err := traceScene(ctx, cfg, name, dramLayout(line), DefaultTraversalFor(name))
+			if err != nil {
+				return err
 			}
-			spec := texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: maxInt(2, bw)}
 			c := cache.New(cache.Config{SizeBytes: 32 << 10, LineBytes: line, Ways: 2})
 			d, err := dram.NewSim(dram.Default(), line)
 			if err != nil {
 				return err
 			}
 			c.SetMissObserver(func(a uint64) { d.Fill(a) })
-			if _, err := s.Render(scenes.RenderOptions{
-				Layout:    spec,
-				Traversal: s.DefaultTraversal(),
-				Sink:      c.Sink(),
-			}); err != nil {
-				return err
-			}
+			cache.ReplayStream(tr, c.Sink())
 			st := d.Stats()
 			rep.Row(name, line, st.Fills, 100*st.PageHitRate(), 100*st.BusUtilization(),
 				d.EffectiveBandwidth()/1e6)
@@ -93,11 +89,17 @@ func runDRAM(ctx context.Context, cfg Config, rep report.Reporter) error {
 	return nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// dramLines are the line sizes the dram experiment sweeps.
+var dramLines = []int{32, 64, 128, 256}
+
+// dramLayout is the blocked layout whose block matches a line of the
+// given size (blocks stay 8x8 above 128-byte lines, and at least 2x2).
+func dramLayout(line int) texture.LayoutSpec {
+	bw := 8
+	if line < 256 {
+		bw = max(2, line/(4*texture.TexelBytes))
 	}
-	return b
+	return texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: bw}
 }
 
 // runPrefetch sweeps the FIFO depth of the dual-rasterizer prefetch for

@@ -46,17 +46,18 @@ func (p Partition) String() string {
 	}
 }
 
-// Mask returns the pixel-ownership predicate of generator fg out of n,
-// for a height-pixel screen. tile is the tile edge for TileInterleave.
-func Mask(p Partition, n, fg, height, tile int) func(x, y int) bool {
+// owner returns the function mapping a pixel to the generator (0..n-1)
+// that owns it under the partition, for a height-pixel screen. tile is
+// the tile edge for TileInterleave.
+func owner(p Partition, n, height, tile int) func(x, y int) int {
 	switch p {
 	case ScanlineInterleave:
-		return func(x, y int) bool { return y%n == fg }
+		return func(x, y int) int { return y % n }
 	case StripPartition:
 		band := (height + n - 1) / n
-		return func(x, y int) bool { return y/band == fg }
+		return func(x, y int) int { return y / band }
 	case TileInterleave:
-		return func(x, y int) bool { return (x/tile+y/tile)%n == fg }
+		return func(x, y int) int { return (x/tile + y/tile) % n }
 	default:
 		panic("parallel: unknown partition")
 	}
@@ -129,33 +130,67 @@ func (r Result) AggregateMissRate() float64 {
 	return float64(miss) / float64(acc)
 }
 
-// Run renders the scene once per fragment generator (each masked to its
-// image-space share) with a private cache per generator, and collects
-// the per-generator statistics. tile is the tile edge for TileInterleave
-// (ignored otherwise).
+// Run renders the scene once with a private cache per fragment
+// generator, routing each fragment's texel addresses to the cache of the
+// generator that owns its pixel, and collects the per-generator
+// statistics. Each cache sees exactly the stream a render masked to its
+// generator's image-space share would give it, in the same order. tile
+// is the tile edge for TileInterleave (ignored otherwise).
 func Run(s *scenes.Scene, p Partition, n, tile int,
 	layout texture.LayoutSpec, cacheCfg cache.Config) (Result, error) {
 
 	if n < 1 {
 		return Result{}, fmt.Errorf("parallel: need at least one generator, got %d", n)
 	}
+	own := owner(p, n, s.Height, tile)
+	rt := &router{caches: make([]*cache.Cache, n), frags: make([]uint64, n)}
+	for fg := range rt.caches {
+		rt.caches[fg] = cache.New(cacheCfg)
+	}
+	r, err := s.Render(scenes.RenderOptions{
+		Layout:    layout,
+		Traversal: s.DefaultTraversal(),
+		Sink:      rt,
+		// The mask sees every fragment before it is shaded; it claims
+		// them all and only notes whose texel addresses come next.
+		FragmentMask: func(x, y int) bool {
+			rt.cur = own(x, y)
+			rt.fresh = true
+			return true
+		},
+	})
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{Partition: p, N: n, PerFG: make([]FGResult, n)}
-	for fg := 0; fg < n; fg++ {
-		c := cache.New(cacheCfg)
-		r, err := s.Render(scenes.RenderOptions{
-			Layout:       layout,
-			Traversal:    s.DefaultTraversal(),
-			Sink:         c.Sink(),
-			FragmentMask: Mask(p, n, fg, s.Height, tile),
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		res.PerFG[fg] = FGResult{
-			FG:        fg,
-			Fragments: r.Stats.FragmentsTextured,
-			Stats:     c.Stats(),
-		}
+	var total uint64
+	for fg, c := range rt.caches {
+		res.PerFG[fg] = FGResult{FG: fg, Fragments: rt.frags[fg], Stats: c.Stats()}
+		total += rt.frags[fg]
+	}
+	if total != r.Stats.FragmentsTextured {
+		return Result{}, fmt.Errorf("parallel: routed %d textured fragments, the frame has %d",
+			total, r.Stats.FragmentsTextured)
 	}
 	return res, nil
+}
+
+// router is the frame's texel sink: it forwards each address to the
+// cache of the generator that owns the fragment being textured. Every
+// textured fragment fetches at least one texel, so the first address
+// after a fragment's mask call counts it as one of its owner's textured
+// fragments.
+type router struct {
+	caches []*cache.Cache
+	frags  []uint64
+	cur    int  // owner of the current fragment
+	fresh  bool // the current fragment has fetched no texel yet
+}
+
+func (rt *router) Access(addr uint64) {
+	if rt.fresh {
+		rt.frags[rt.cur]++
+		rt.fresh = false
+	}
+	rt.caches[rt.cur].Access(addr)
 }

@@ -13,7 +13,7 @@ func TestMaskPartitionsAreDisjointAndComplete(t *testing.T) {
 	for _, p := range []Partition{ScanlineInterleave, StripPartition, TileInterleave} {
 		masks := make([]func(x, y int) bool, n)
 		for fg := 0; fg < n; fg++ {
-			masks[fg] = Mask(p, n, fg, h, tile)
+			masks[fg] = mask(p, n, fg, h, tile)
 		}
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
@@ -37,7 +37,7 @@ func TestMaskUnknownPartitionPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Mask(Partition(99), 2, 0, 64, 8)
+	owner(Partition(99), 2, 64, 8)
 }
 
 func TestPartitionString(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 	"texcache/internal/texture"
 )
 
-// texelKey packs (texID, level, x, y) into one map key. Coordinates are
+// texelKey packs (texID, level, x, y) into one set key. Coordinates are
 // offset so slightly negative pre-wrap coordinates (from the -0.5 filter
 // footprint shift) stay valid.
 func texelKey(texID, level, x, y int) uint64 {
@@ -22,10 +22,10 @@ func texelKey(texID, level, x, y int) uint64 {
 // Locality accumulates per-texel access statistics from sampler events.
 // Attach Record as the pipeline's OnAccess callback.
 type Locality struct {
-	accesses [3]uint64          // indexed by texture.AccessKind
-	distinct [3]map[uint64]bool // distinct wrapped texels per kind
-	wrapped  map[uint64]bool    // distinct wrapped texels, all kinds
-	unwrap   map[uint64]bool    // distinct pre-wrap texels, all kinds
+	accesses [3]uint64   // indexed by texture.AccessKind
+	distinct [3]texelSet // distinct wrapped texels per kind
+	wrapped  texelSet    // distinct wrapped texels, all kinds
+	unwrap   texelSet    // distinct pre-wrap texels, all kinds
 
 	// Runlength tracking: a run is a maximal sequence of consecutive
 	// accesses to the same texture.
@@ -36,15 +36,7 @@ type Locality struct {
 
 // NewLocality returns an empty collector.
 func NewLocality() *Locality {
-	l := &Locality{
-		wrapped: make(map[uint64]bool),
-		unwrap:  make(map[uint64]bool),
-		curTex:  -1,
-	}
-	for i := range l.distinct {
-		l.distinct[i] = make(map[uint64]bool)
-	}
-	return l
+	return &Locality{curTex: -1}
 }
 
 // Record consumes one access event.
@@ -54,9 +46,9 @@ func (l *Locality) Record(e texture.AccessEvent) {
 	l.total++
 
 	wk := texelKey(e.TexID, e.Level, e.TU, e.TV)
-	l.distinct[k][wk] = true
-	l.wrapped[wk] = true
-	l.unwrap[texelKey(e.TexID, e.Level, e.RawU, e.RawV)] = true
+	l.distinct[k].add(wk)
+	l.wrapped.add(wk)
+	l.unwrap.add(texelKey(e.TexID, e.Level, e.RawU, e.RawV))
 
 	if e.TexID != l.curTex {
 		l.curTex = e.TexID
@@ -69,7 +61,7 @@ func (l *Locality) Record(e texture.AccessEvent) {
 // measurement whose expected values are ~4 for the trilinear lower level,
 // ~16 for the upper level, and scene-dependent for bilinear.
 func (l *Locality) AccessesPerTexel(kind texture.AccessKind) float64 {
-	d := len(l.distinct[kind])
+	d := l.distinct[kind].len()
 	if d == 0 {
 		return 0
 	}
@@ -86,19 +78,19 @@ func (l *Locality) TotalAccesses() uint64 { return l.total }
 // through texture-coordinate wrapping: distinct pre-wrap texel positions
 // divided by distinct in-image texels (1.0 = no repetition).
 func (l *Locality) RepetitionFactor() float64 {
-	if len(l.wrapped) == 0 {
+	if l.wrapped.len() == 0 {
 		return 0
 	}
-	return float64(len(l.unwrap)) / float64(len(l.wrapped))
+	return float64(l.unwrap.len()) / float64(l.wrapped.len())
 }
 
 // UniqueTexels returns the number of distinct Mip Map texels touched.
-func (l *Locality) UniqueTexels() int { return len(l.wrapped) }
+func (l *Locality) UniqueTexels() int { return l.wrapped.len() }
 
 // TextureUsedBytes returns the Table 4.1 "Texture Used" figure: the
 // memory footprint of the distinct texels actually fetched.
 func (l *Locality) TextureUsedBytes() int {
-	return len(l.wrapped) * texture.TexelBytes
+	return l.wrapped.len() * texture.TexelBytes
 }
 
 // AverageRunlength returns the mean length of maximal same-texture access

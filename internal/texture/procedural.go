@@ -43,18 +43,36 @@ func Gradient(w, h int, c0, c1 Texel) *Image {
 // resembling the satellite-photo style content of the Flight textures.
 func Noise(w, h int, seed uint64) *Image {
 	im := NewImage(w, h)
+	// A few octaves of hashed lattice noise. An octave's value is
+	// constant over each step x step cell, and the steps are powers of
+	// two that divide every coarser one, so a row that does not start a
+	// cell of the finest octave repeats the row above it, and a row is
+	// summed one cell per octave at a time, in octave order.
+	var steps [4]int
+	for oct := range steps {
+		steps[oct] = max(1, min(w, h)>>(2+oct))
+	}
+	v := make([]float64, w)
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			// A few octaves of hashed lattice noise.
-			v := 0.0
-			amp := 0.5
-			for oct := 0; oct < 4; oct++ {
-				step := max(1, min(w, h)>>(2+oct))
-				v += amp * latticeNoise(x/step, y/step, seed+uint64(oct))
-				amp /= 2
+		row := im.Pix[y*w : (y+1)*w]
+		if y%steps[len(steps)-1] != 0 {
+			copy(row, im.Pix[(y-1)*w:y*w])
+			continue
+		}
+		clear(v)
+		amp := 0.5
+		for oct, step := range steps {
+			for x0 := 0; x0 < w; x0 += step {
+				n := amp * latticeNoise(x0/step, y/step, seed+uint64(oct))
+				for x := x0; x < x0+step; x++ {
+					v[x] += n
+				}
 			}
-			g := uint8(Clamp01(v) * 255)
-			im.Set(x, y, Texel{g, uint8(float64(g) * 0.8), uint8(float64(g) * 0.6), 255})
+			amp /= 2
+		}
+		for x, vx := range v {
+			g := uint8(Clamp01(vx) * 255)
+			row[x] = Texel{g, uint8(float64(g) * 0.8), uint8(float64(g) * 0.6), 255}
 		}
 	}
 	return im

@@ -15,6 +15,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"texcache/internal/cache"
@@ -50,21 +51,20 @@ func CompactFromAddrs(addrs []uint64) *Compact {
 	if reg != nil {
 		start = time.Now()
 	}
-	// A delta of ±127 fits one varint byte and texture locality keeps
-	// most deltas that small; reserving 2 bytes/address avoids regrowth
-	// on all but adversarial streams without over-committing.
-	buf := make([]byte, 0, 2*len(addrs))
-	var scratch [binary.MaxVarintLen64]byte
+	// Two passes: the first sizes the encoding exactly, so the trace
+	// holds no capacity beyond the SizeBytes the trace cache charges for
+	// it, and the second writes the varints in place.
+	size := 0
 	var prev uint64
 	for i, a := range addrs {
-		if i%blockLen == 0 {
-			// Sync point: absolute address, fresh delta chain.
-			k := binary.PutUvarint(scratch[:], a)
-			buf = append(buf, scratch[:k]...)
-		} else {
-			k := binary.PutUvarint(scratch[:], zigzag(int64(a)-int64(prev)))
-			buf = append(buf, scratch[:k]...)
-		}
+		size += uvarintLen(encodeAddr(i, a, prev))
+		prev = a
+	}
+	buf := make([]byte, size)
+	off := 0
+	prev = 0
+	for i, a := range addrs {
+		off += binary.PutUvarint(buf[off:], encodeAddr(i, a, prev))
 		prev = a
 	}
 	c := &Compact{data: buf, count: len(addrs)}
@@ -175,6 +175,19 @@ func (c *Compact) validate() error {
 	}
 	return nil
 }
+
+// encodeAddr returns the varint payload of address i: the absolute
+// address at a sync point (a fresh delta chain every blockLen
+// addresses), the zigzag delta from the previous address otherwise.
+func encodeAddr(i int, a, prev uint64) uint64 {
+	if i%blockLen == 0 {
+		return a
+	}
+	return zigzag(int64(a) - int64(prev))
+}
+
+// uvarintLen returns the bytes binary.PutUvarint writes for u.
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 

@@ -171,3 +171,30 @@ func TestCompactMetrics(t *testing.T) {
 		t.Error("trace.decode never observed")
 	}
 }
+
+func TestCompactHoldsExactlySizeBytes(t *testing.T) {
+	// The trace cache charges SizeBytes against its budget, so the
+	// encoding must hold no capacity beyond it — on local streams, on
+	// extreme deltas, across sync blocks and when empty.
+	streams := map[string][]uint64{
+		"empty":    nil,
+		"one":      {1 << 40},
+		"textured": texturedAddrs(3*blockLen + 17),
+		"extreme":  {0, ^uint64(0), 0, 1 << 63, 1, ^uint64(0) >> 1},
+	}
+	for name, addrs := range streams {
+		c := CompactFromAddrs(addrs)
+		if cap(c.data) != c.SizeBytes() {
+			t.Errorf("%s: holds %d bytes of capacity for %d encoded", name, cap(c.data), c.SizeBytes())
+		}
+		got := c.Decode().Addrs
+		if len(got) != len(addrs) {
+			t.Fatalf("%s: decoded %d addresses, want %d", name, len(got), len(addrs))
+		}
+		for i := range addrs {
+			if got[i] != addrs[i] {
+				t.Fatalf("%s: address %d = %#x, want %#x", name, i, got[i], addrs[i])
+			}
+		}
+	}
+}
