@@ -48,7 +48,7 @@ test:
 
 golden:
 	go test -count=1 -run 'TestGoldenExperimentOutputs|TestPaperFrameBudget' .
-	go test -count=1 -run '^Fuzz' ./internal/arch ./internal/cache ./internal/texture
+	go test -count=1 -run '^Fuzz' ./internal/api ./internal/arch ./internal/cache ./internal/texture
 
 # cover enforces ratcheted coverage floors on the simulator-core
 # packages: raise a floor when coverage improves, never lower it.
@@ -67,7 +67,7 @@ cover:
 # pair measures the tile-parallel render path against the serial scan;
 # the TraceEncode/TraceDecode pair and the TraceStore cold/warm pair
 # track the compact trace codec and the persistent store.
-BENCH_REGEX = BenchmarkSerialSweep|BenchmarkGroupedSweep|BenchmarkEngineSweep|BenchmarkEngineBatch|BenchmarkCacheAccess|BenchmarkStackDist|BenchmarkTraceGen|BenchmarkTraceEncode|BenchmarkTraceDecode|BenchmarkTraceStore|BenchmarkArch|BenchmarkShardedGrid|BenchmarkResultCache|BenchmarkParallel|BenchmarkLocality
+BENCH_REGEX = BenchmarkSerialSweep|BenchmarkGroupedSweep|BenchmarkEngineBatch|BenchmarkCacheAccess|BenchmarkStackDist|BenchmarkTraceGen|BenchmarkTraceEncode|BenchmarkTraceDecode|BenchmarkTraceStore|BenchmarkArch|BenchmarkShardedGrid|BenchmarkResultCache|BenchmarkParallel|BenchmarkLocality
 
 bench:
 	go test -run '^$$' -bench '$(BENCH_REGEX)' \

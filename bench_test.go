@@ -97,24 +97,10 @@ func BenchmarkSerialSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSweep replays the Goblet trace through all
-// configurations in a single concurrent pass; compare with
-// BenchmarkSerialSweep on a multi-core machine for the fan-out speedup.
-func BenchmarkEngineSweep(b *testing.B) {
-	tr := gobletTrace(b)
-	cfgs := benchSweepConfigs()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.SimulateConfigsConcurrent(ctx, cfgs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkGroupedSweep replays the Goblet trace through all
-// configurations with the grouped single-pass simulator: one stack walk
-// per distinct line size instead of one replay per configuration.
+// configurations with the grouped single-pass simulator (cache.Sweep,
+// through the facade): one stack walk per distinct line size instead of
+// one replay per configuration.
 // Compare with BenchmarkSerialSweep for the per-configuration speedup
 // the bench-check gate enforces.
 func BenchmarkGroupedSweep(b *testing.B) {
@@ -123,7 +109,7 @@ func BenchmarkGroupedSweep(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.SimulateConfigsGrouped(ctx, cfgs); err != nil {
+		if _, err := texcache.SimulateConfigsGroupedStream(ctx, tr, cfgs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,6 +27,11 @@ func e2eSweepBody() string {
 		`{"size_bytes":16384,"line_bytes":64,"ways":1,"policy":"fifo"}]}`
 }
 
+// e2eSweepBodyWith is e2eSweepBody with one more top-level field.
+func e2eSweepBodyWith(field string) string {
+	return "{" + field + "," + strings.TrimPrefix(e2eSweepBody(), "{")
+}
+
 // texsimNDJSON produces the bytes `texsim -request - -json` writes for
 // the same request: the facade Run plus the shared NDJSON serializer.
 func texsimNDJSON(t *testing.T, body string) []byte {
@@ -75,6 +80,7 @@ func TestServerNDJSONByteIdentity(t *testing.T) {
 		name, body, golden string
 	}{
 		{"sweep", e2eSweepBody(), "sweep.ndjson"},
+		{"sweep per-config", e2eSweepBodyWith(`"sweep":"per-config"`), "sweep.ndjson"},
 		{"experiment", `{"experiments":["fig5.2"],"scenes":["goblet"],"scale":8}`, "experiment.ndjson"},
 		{"architecture", `{"scene":"goblet","scale":8,"architecture":{"pipeline":"both","fill_latency":100}}`, "architecture.ndjson"},
 	} {

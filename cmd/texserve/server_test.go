@@ -39,7 +39,8 @@ func errorBody(t *testing.T, resp *http.Response) texcache.RequestError {
 }
 
 // TestHandlerErrors is the handler truth table: each bad request gets
-// the right status and a typed JSON body with the right wire code.
+// the right status and a typed JSON body with the right wire code and
+// field.
 func TestHandlerErrors(t *testing.T) {
 	_, ts := testServer(t, serverConfig{Workers: 1})
 	cases := []struct {
@@ -47,16 +48,19 @@ func TestHandlerErrors(t *testing.T) {
 		body       string
 		wantStatus int
 		wantCode   string
+		wantField  string
 	}{
-		{"bad json", `{"scene":`, http.StatusBadRequest, texcache.RequestCodeBadRequest},
-		{"unknown field", `{"scnee":"goblet"}`, http.StatusBadRequest, texcache.RequestCodeBadRequest},
-		{"bad version", `{"v":9}`, http.StatusBadRequest, texcache.RequestCodeBadRequest},
-		{"unknown experiment", `{"experiments":["bogus"]}`, http.StatusNotFound, texcache.RequestCodeUnknownExperiment},
+		{"bad json", `{"scene":`, http.StatusBadRequest, texcache.RequestCodeBadRequest, ""},
+		{"unknown field", `{"scnee":"goblet"}`, http.StatusBadRequest, texcache.RequestCodeBadRequest, ""},
+		{"bad version", `{"v":9}`, http.StatusBadRequest, texcache.RequestCodeBadRequest, "v"},
+		{"unknown experiment", `{"experiments":["bogus"]}`, http.StatusNotFound, texcache.RequestCodeUnknownExperiment, "experiments"},
 		{"unknown scene", `{"scene":"nowhere","configs":[{"size_bytes":32768,"line_bytes":128,"ways":2}]}`,
-			http.StatusNotFound, texcache.RequestCodeUnknownScene},
-		{"sweep without configs", `{"scene":"goblet"}`, http.StatusBadRequest, texcache.RequestCodeBadRequest},
+			http.StatusNotFound, texcache.RequestCodeUnknownScene, "scene"},
+		{"sweep without configs", `{"scene":"goblet"}`, http.StatusBadRequest, texcache.RequestCodeBadRequest, "configs"},
+		{"unknown sweep value", `{"scene":"goblet","sweep":"both","configs":[{"size_bytes":32768,"line_bytes":128,"ways":2}]}`,
+			http.StatusBadRequest, texcache.RequestCodeBadRequest, "sweep"},
 		{"bad cache geometry", `{"scene":"goblet","configs":[{"size_bytes":100,"line_bytes":128,"ways":2}]}`,
-			http.StatusBadRequest, texcache.RequestCodeBadRequest},
+			http.StatusBadRequest, texcache.RequestCodeBadRequest, "configs[0]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,6 +78,9 @@ func TestHandlerErrors(t *testing.T) {
 			re := errorBody(t, resp)
 			if re.Code != tc.wantCode {
 				t.Errorf("code = %q, want %q", re.Code, tc.wantCode)
+			}
+			if re.Field != tc.wantField {
+				t.Errorf("field = %q, want %q", re.Field, tc.wantField)
 			}
 			if re.V != texcache.APIVersion {
 				t.Errorf("error body v = %d, want %d", re.V, texcache.APIVersion)

@@ -19,7 +19,6 @@
 //	texsim -exp table7.1 -json            # NDJSON rows on stdout
 //	texsim -exp all -metrics :8080        # expvar + pprof while running
 //	texsim -exp all -cpuprofile cpu.out -memprofile mem.out
-//	texsim -exp fig5.7 -grouped=false     # per-configuration sweep replay
 //	texsim -exp all -trace-dir .traces    # persist renders across runs
 //	texsim -request sweep.json -json      # run a wire-form request file
 //	texsim -arch both -scenes goblet -scale 4   # cycle-level pipelines
@@ -35,8 +34,8 @@
 // client would POST can be reproduced locally; the output is
 // byte-identical to the server's NDJSON stream for the same request.
 // The experiment-selection flags (-exp, -scenes, -scale, -workers,
-// -render-workers, -grouped) are rejected alongside -request: the file
-// is the whole request.
+// -render-workers) are rejected alongside -request: the file is the
+// whole request.
 //
 // -grid runs a design-space cross-product from a JSON file ("-" for
 // stdin) naming scene/scale/layout/traversal/config axes; output is
@@ -73,11 +72,10 @@
 //
 //	texsim -exp all -json -result-dir .results  # warm repeats are instant
 //
-// Sweeps default to the grouped single-pass simulator (-grouped): every
-// LRU configuration sharing a line size is answered from one walk of the
-// trace. -grouped=false replays one cache per configuration instead; the
-// output is bit-identical either way. -cpuprofile and -memprofile write
-// runtime/pprof profiles covering the whole run.
+// Sweeps run the grouped single-pass simulator: every LRU configuration
+// sharing a line size is answered from one walk of the trace.
+// -cpuprofile and -memprofile write runtime/pprof profiles covering the
+// whole run.
 //
 // -json emits each experiment's tables as newline-delimited JSON objects
 // (one per row/note, each stamped with its experiment ID) instead of the
@@ -121,7 +119,6 @@ type flags struct {
 	scenes      string
 	workers     int
 	renderW     int
-	grouped     bool
 	requestFile string
 	arch        string
 	archFIFO    int
@@ -256,9 +253,6 @@ func buildRequest(f flags, stdin io.Reader) (texcache.ExperimentRequest, error) 
 	if f.scenes != "" {
 		req.Scenes = strings.Split(f.scenes, ",")
 	}
-	if !f.grouped {
-		req.Sweep = texcache.RequestSweepPerConfig
-	}
 	return req, nil
 }
 
@@ -273,7 +267,6 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "emit NDJSON rows on stdout instead of text tables")
 	metrics := flag.String("metrics", "", "serve /debug/vars and /debug/pprof on this address (e.g. :8080, :0)")
 	progress := flag.Bool("progress", false, "print per-experiment completion lines on stderr")
-	flag.BoolVar(&f.grouped, "grouped", true, "answer each sweep's LRU configurations from one grouped trace walk (false = one cache per configuration; output is identical)")
 	flag.StringVar(&f.requestFile, "request", "", "run a JSON ExperimentRequest from this file ('-' = stdin), the texserve wire form")
 	flag.StringVar(&f.arch, "arch", "", "compare cycle-level texture-unit pipelines (blocking, prefetch or both) over the single -scenes scene")
 	flag.IntVar(&f.archFIFO, "arch-fifo", 0, "fragment FIFO depth in fragments for -arch (0 = the paper's 64)")

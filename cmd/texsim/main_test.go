@@ -17,29 +17,29 @@ func TestBuildRequest(t *testing.T) {
 		stdin   string
 		wantErr string // substring of build or validation error; empty = valid
 	}{
-		{name: "defaults", f: flags{id: "all", scale: 2, grouped: true}},
-		{name: "full size", f: flags{id: "fig5.2", scale: 1, workers: 8, renderW: 4, grouped: true}},
+		{name: "defaults", f: flags{id: "all", scale: 2}},
+		{name: "full size", f: flags{id: "fig5.2", scale: 1, workers: 8, renderW: 4}},
 		// Scale 0 is the wire form's "use the default" (an omitted JSON
 		// field), so it normalizes to the default rather than erroring.
-		{name: "zero scale is default", f: flags{id: "all", scale: 0, grouped: true}},
-		{name: "negative scale", f: flags{id: "all", scale: -3, grouped: true}, wantErr: "scale"},
-		{name: "negative workers", f: flags{id: "all", scale: 2, workers: -1, grouped: true}, wantErr: "workers"},
-		{name: "negative render workers", f: flags{id: "all", scale: 2, renderW: -2, grouped: true}, wantErr: "render_workers"},
-		{name: "unknown experiment", f: flags{id: "bogus", scale: 2, grouped: true}, wantErr: "unknown experiment"},
-		{name: "unknown scene", f: flags{id: "all", scale: 2, scenes: "nowhere", grouped: true}, wantErr: "unknown scene"},
-		{name: "request file plus exp", f: flags{id: "all", scale: 2, grouped: true, requestFile: "-"}, wantErr: "-request"},
-		{name: "request file plus arch", f: flags{arch: "both", scale: 2, grouped: true, requestFile: "-"}, wantErr: "-request"},
-		{name: "arch request", f: flags{arch: "both", scenes: "goblet", scale: 2, grouped: true}},
-		{name: "arch plus exp", f: flags{id: "all", arch: "both", scenes: "goblet", scale: 2, grouped: true}, wantErr: "-arch"},
-		{name: "arch multi scene", f: flags{arch: "both", scenes: "town,guitar", scale: 2, grouped: true}, wantErr: "single"},
-		{name: "arch no scene", f: flags{arch: "both", scale: 2, grouped: true}, wantErr: "scene"},
-		{name: "arch bad pipeline", f: flags{arch: "warp", scenes: "goblet", scale: 2, grouped: true}, wantErr: "architecture.pipeline"},
-		{name: "arch bad fifo", f: flags{arch: "both", scenes: "goblet", archFIFO: -1, scale: 2, grouped: true}, wantErr: "architecture.fragment_fifo"},
-		{name: "request from stdin", f: flags{scale: 2, grouped: true, requestFile: "-"},
+		{name: "zero scale is default", f: flags{id: "all", scale: 0}},
+		{name: "negative scale", f: flags{id: "all", scale: -3}, wantErr: "scale"},
+		{name: "negative workers", f: flags{id: "all", scale: 2, workers: -1}, wantErr: "workers"},
+		{name: "negative render workers", f: flags{id: "all", scale: 2, renderW: -2}, wantErr: "render_workers"},
+		{name: "unknown experiment", f: flags{id: "bogus", scale: 2}, wantErr: "unknown experiment"},
+		{name: "unknown scene", f: flags{id: "all", scale: 2, scenes: "nowhere"}, wantErr: "unknown scene"},
+		{name: "request file plus exp", f: flags{id: "all", scale: 2, requestFile: "-"}, wantErr: "-request"},
+		{name: "request file plus arch", f: flags{arch: "both", scale: 2, requestFile: "-"}, wantErr: "-request"},
+		{name: "arch request", f: flags{arch: "both", scenes: "goblet", scale: 2}},
+		{name: "arch plus exp", f: flags{id: "all", arch: "both", scenes: "goblet", scale: 2}, wantErr: "-arch"},
+		{name: "arch multi scene", f: flags{arch: "both", scenes: "town,guitar", scale: 2}, wantErr: "single"},
+		{name: "arch no scene", f: flags{arch: "both", scale: 2}, wantErr: "scene"},
+		{name: "arch bad pipeline", f: flags{arch: "warp", scenes: "goblet", scale: 2}, wantErr: "architecture.pipeline"},
+		{name: "arch bad fifo", f: flags{arch: "both", scenes: "goblet", archFIFO: -1, scale: 2}, wantErr: "architecture.fragment_fifo"},
+		{name: "request from stdin", f: flags{scale: 2, requestFile: "-"},
 			stdin: `{"scene":"goblet","configs":[{"size_bytes":32768,"line_bytes":128,"ways":2}]}`},
-		{name: "bad request json", f: flags{scale: 2, grouped: true, requestFile: "-"},
+		{name: "bad request json", f: flags{scale: 2, requestFile: "-"},
 			stdin: `{"scene":`, wantErr: "parsing"},
-		{name: "request bad config", f: flags{scale: 2, grouped: true, requestFile: "-"},
+		{name: "request bad config", f: flags{scale: 2, requestFile: "-"},
 			stdin:   `{"scene":"goblet","configs":[{"size_bytes":100,"line_bytes":128,"ways":2}]}`,
 			wantErr: "configs"},
 	}
@@ -77,32 +77,32 @@ func TestBuildRequestGrid(t *testing.T) {
 		stdin   string
 		wantErr string
 	}{
-		{name: "plain grid", f: flags{gridFile: "-", scale: 2, grouped: true}, stdin: grid},
-		{name: "worker slice", f: flags{gridFile: "-", shard: "1/4", scale: 2, grouped: true}, stdin: grid},
-		{name: "last slice", f: flags{gridFile: "-", shard: "3/4", scale: 2, grouped: true}, stdin: grid},
-		{name: "coordinate", f: flags{gridFile: "-", coordinate: 2, scale: 2, grouped: true}, stdin: grid},
-		{name: "prune with frontier", f: flags{gridFile: "-", prune: true, frontier: "f.ndjson", scale: 2, grouped: true}, stdin: grid},
-		{name: "shard missing slash", f: flags{gridFile: "-", shard: "2", scale: 2, grouped: true}, stdin: grid, wantErr: "want i/n"},
-		{name: "shard non-numeric", f: flags{gridFile: "-", shard: "a/b", scale: 2, grouped: true}, stdin: grid, wantErr: "bad index"},
-		{name: "shard non-numeric count", f: flags{gridFile: "-", shard: "0/b", scale: 2, grouped: true}, stdin: grid, wantErr: "bad count"},
-		{name: "shard zero count", f: flags{gridFile: "-", shard: "0/0", scale: 2, grouped: true}, stdin: grid, wantErr: "shard.count"},
-		{name: "shard negative index", f: flags{gridFile: "-", shard: "-1/2", scale: 2, grouped: true}, stdin: grid, wantErr: "shard.index"},
-		{name: "shard index at count", f: flags{gridFile: "-", shard: "2/2", scale: 2, grouped: true}, stdin: grid, wantErr: "shard.index"},
-		{name: "shard index past count", f: flags{gridFile: "-", shard: "3/2", scale: 2, grouped: true}, stdin: grid, wantErr: "shard.index"},
-		{name: "shard plus coordinate", f: flags{gridFile: "-", shard: "0/2", coordinate: 2, scale: 2, grouped: true}, stdin: grid, wantErr: "mutually exclusive"},
-		{name: "shard without grid", f: flags{id: "all", shard: "0/2", scale: 2, grouped: true}, wantErr: "-shard needs a -grid"},
-		{name: "coordinate without grid", f: flags{id: "all", coordinate: 2, scale: 2, grouped: true}, wantErr: "-coordinate needs a -grid"},
-		{name: "prune without grid", f: flags{id: "all", prune: true, scale: 2, grouped: true}, wantErr: "-prune applies only"},
-		{name: "frontier without grid", f: flags{id: "all", frontier: "f.ndjson", scale: 2, grouped: true}, wantErr: "-frontier applies only"},
-		{name: "frontier without prune", f: flags{gridFile: "-", frontier: "f.ndjson", scale: 2, grouped: true}, stdin: grid, wantErr: "-frontier requires -prune"},
-		{name: "negative coordinate", f: flags{gridFile: "-", coordinate: -1, scale: 2, grouped: true}, stdin: grid, wantErr: "-coordinate"},
-		{name: "grid plus exp", f: flags{gridFile: "-", id: "all", scale: 2, grouped: true}, stdin: grid, wantErr: "-grid replaces"},
-		{name: "grid plus arch", f: flags{gridFile: "-", arch: "both", scale: 2, grouped: true}, stdin: grid, wantErr: "-grid replaces"},
-		{name: "grid plus request", f: flags{gridFile: "-", requestFile: "-", scale: 2, grouped: true}, stdin: grid, wantErr: "-grid replaces"},
-		{name: "grid plus scenes", f: flags{gridFile: "-", scenes: "town", scale: 2, grouped: true}, stdin: grid, wantErr: "-grid replaces"},
-		{name: "bad grid json", f: flags{gridFile: "-", scale: 2, grouped: true}, stdin: `{"scenes":`, wantErr: "parsing"},
-		{name: "grid no configs", f: flags{gridFile: "-", scale: 2, grouped: true}, stdin: `{"scenes":["town"]}`, wantErr: "grid.configs"},
-		{name: "grid unknown scene", f: flags{gridFile: "-", scale: 2, grouped: true},
+		{name: "plain grid", f: flags{gridFile: "-", scale: 2}, stdin: grid},
+		{name: "worker slice", f: flags{gridFile: "-", shard: "1/4", scale: 2}, stdin: grid},
+		{name: "last slice", f: flags{gridFile: "-", shard: "3/4", scale: 2}, stdin: grid},
+		{name: "coordinate", f: flags{gridFile: "-", coordinate: 2, scale: 2}, stdin: grid},
+		{name: "prune with frontier", f: flags{gridFile: "-", prune: true, frontier: "f.ndjson", scale: 2}, stdin: grid},
+		{name: "shard missing slash", f: flags{gridFile: "-", shard: "2", scale: 2}, stdin: grid, wantErr: "want i/n"},
+		{name: "shard non-numeric", f: flags{gridFile: "-", shard: "a/b", scale: 2}, stdin: grid, wantErr: "bad index"},
+		{name: "shard non-numeric count", f: flags{gridFile: "-", shard: "0/b", scale: 2}, stdin: grid, wantErr: "bad count"},
+		{name: "shard zero count", f: flags{gridFile: "-", shard: "0/0", scale: 2}, stdin: grid, wantErr: "shard.count"},
+		{name: "shard negative index", f: flags{gridFile: "-", shard: "-1/2", scale: 2}, stdin: grid, wantErr: "shard.index"},
+		{name: "shard index at count", f: flags{gridFile: "-", shard: "2/2", scale: 2}, stdin: grid, wantErr: "shard.index"},
+		{name: "shard index past count", f: flags{gridFile: "-", shard: "3/2", scale: 2}, stdin: grid, wantErr: "shard.index"},
+		{name: "shard plus coordinate", f: flags{gridFile: "-", shard: "0/2", coordinate: 2, scale: 2}, stdin: grid, wantErr: "mutually exclusive"},
+		{name: "shard without grid", f: flags{id: "all", shard: "0/2", scale: 2}, wantErr: "-shard needs a -grid"},
+		{name: "coordinate without grid", f: flags{id: "all", coordinate: 2, scale: 2}, wantErr: "-coordinate needs a -grid"},
+		{name: "prune without grid", f: flags{id: "all", prune: true, scale: 2}, wantErr: "-prune applies only"},
+		{name: "frontier without grid", f: flags{id: "all", frontier: "f.ndjson", scale: 2}, wantErr: "-frontier applies only"},
+		{name: "frontier without prune", f: flags{gridFile: "-", frontier: "f.ndjson", scale: 2}, stdin: grid, wantErr: "-frontier requires -prune"},
+		{name: "negative coordinate", f: flags{gridFile: "-", coordinate: -1, scale: 2}, stdin: grid, wantErr: "-coordinate"},
+		{name: "grid plus exp", f: flags{gridFile: "-", id: "all", scale: 2}, stdin: grid, wantErr: "-grid replaces"},
+		{name: "grid plus arch", f: flags{gridFile: "-", arch: "both", scale: 2}, stdin: grid, wantErr: "-grid replaces"},
+		{name: "grid plus request", f: flags{gridFile: "-", requestFile: "-", scale: 2}, stdin: grid, wantErr: "-grid replaces"},
+		{name: "grid plus scenes", f: flags{gridFile: "-", scenes: "town", scale: 2}, stdin: grid, wantErr: "-grid replaces"},
+		{name: "bad grid json", f: flags{gridFile: "-", scale: 2}, stdin: `{"scenes":`, wantErr: "parsing"},
+		{name: "grid no configs", f: flags{gridFile: "-", scale: 2}, stdin: `{"scenes":["town"]}`, wantErr: "grid.configs"},
+		{name: "grid unknown scene", f: flags{gridFile: "-", scale: 2},
 			stdin: `{"scenes":["nowhere"],"configs":[{"size_bytes":2048,"ways":1,"line_bytes":64}]}`, wantErr: "grid.scenes"},
 	}
 	for _, tc := range cases {
@@ -143,7 +143,7 @@ func TestParseShard(t *testing.T) {
 
 // TestBuildRequestMapping spot-checks field mapping details.
 func TestBuildRequestMapping(t *testing.T) {
-	req, err := buildRequest(flags{id: "fig5.2,fig5.7", scale: 4, scenes: "town,guitar", grouped: false}, nil)
+	req, err := buildRequest(flags{id: "fig5.2,fig5.7", scale: 4, scenes: "town,guitar"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +156,7 @@ func TestBuildRequestMapping(t *testing.T) {
 	if req.Scale != 4 {
 		t.Errorf("Scale = %d, want 4", req.Scale)
 	}
-	if req.Sweep != texcache.RequestSweepPerConfig {
-		t.Errorf("Sweep = %q, want per-config", req.Sweep)
-	}
-	ar, err := buildRequest(flags{arch: "prefetch", scenes: "goblet", archFIFO: 16, archLatency: 200, scale: 4, grouped: true}, nil)
+	ar, err := buildRequest(flags{arch: "prefetch", scenes: "goblet", archFIFO: 16, archLatency: 200, scale: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +167,7 @@ func TestBuildRequestMapping(t *testing.T) {
 		ar.Architecture.FragmentFIFO != 16 || ar.Architecture.FillLatency != 200 {
 		t.Errorf("arch request block mapping: %+v", ar.Architecture)
 	}
-	all, err := buildRequest(flags{id: "all", scale: 2, grouped: true}, nil)
+	all, err := buildRequest(flags{id: "all", scale: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +175,6 @@ func TestBuildRequestMapping(t *testing.T) {
 		t.Errorf("-exp all should leave Experiments empty, got %v", all.Experiments)
 	}
 	if all.Sweep != "" {
-		t.Errorf("grouped default should leave Sweep empty, got %q", all.Sweep)
+		t.Errorf("flags should leave the ignored Sweep field empty, got %q", all.Sweep)
 	}
 }

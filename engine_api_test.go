@@ -24,9 +24,10 @@ func sweep8() []texcache.CacheConfig {
 	}
 }
 
-// TestConcurrentSweepMatchesSerial verifies the single-pass multi-config
-// replay is bit-identical to serial replay on real rendered traces: two
-// scenes, eight configurations each.
+// TestConcurrentSweepMatchesSerial verifies the facade's single-pass
+// sweep, which feeds every simulator in one concurrent pass, is
+// bit-identical to serial replay on real rendered traces: two scenes,
+// eight configurations each.
 func TestConcurrentSweepMatchesSerial(t *testing.T) {
 	for _, name := range []string{"goblet", "town"} {
 		s, err := texcache.SceneByNameChecked(name, 8)
@@ -39,13 +40,13 @@ func TestConcurrentSweepMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := tr.SimulateConfigs(sweep8())
-		got, err := tr.SimulateConfigsConcurrent(context.Background(), sweep8())
+		got, err := texcache.SimulateConfigsGroupedStream(context.Background(), tr, sweep8())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, cfg := range sweep8() {
 			if got[i] != want[i] {
-				t.Errorf("%s %+v: concurrent %+v != serial %+v", name, cfg, got[i], want[i])
+				t.Errorf("%s %+v: sweep %+v != serial %+v", name, cfg, got[i], want[i])
 			}
 		}
 	}

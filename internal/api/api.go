@@ -31,12 +31,10 @@ import (
 // requests may omit it (zero means "current").
 const Version = 1
 
-// Sweep replay modes, the wire form of exp.SweepMode.
+// The values the sweep field accepts besides empty. The field is
+// accepted for compatibility and ignored.
 const (
-	// SweepGrouped answers every LRU configuration sharing a line size
-	// from one trace walk; the default when the field is empty.
-	SweepGrouped = "grouped"
-	// SweepPerConfig replays one cache per configuration.
+	SweepGrouped   = "grouped"
 	SweepPerConfig = "per-config"
 )
 
@@ -66,8 +64,7 @@ const DefaultScale = 2
 // The zero value of every optional field means "the default": Scale 0
 // is DefaultScale, a nil Layout is the paper's 8x8 blocked
 // representation, a nil Traversal is the scene's reported scan
-// direction, an empty Sweep is SweepGrouped, and Workers/RenderWorkers 0
-// mean GOMAXPROCS.
+// direction, and Workers/RenderWorkers 0 mean GOMAXPROCS.
 type ExperimentRequest struct {
 	// V is the wire-format version; 0 means the current Version.
 	V int `json:"v,omitempty"`
@@ -114,8 +111,9 @@ type ExperimentRequest struct {
 	// Scale divides screen and texture resolution; 1 is the paper's full
 	// size, 0 means DefaultScale.
 	Scale int `json:"scale,omitempty"`
-	// Sweep selects the sweep replay mode, SweepGrouped or
-	// SweepPerConfig; both are bit-identical, empty means grouped.
+	// Sweep is accepted for compatibility and ignored: every sweep runs
+	// the grouped simulator. Validate still rejects values other than
+	// "", SweepGrouped and SweepPerConfig.
 	Sweep string `json:"sweep,omitempty"`
 	// Workers bounds how many experiments run concurrently (0 =
 	// GOMAXPROCS).
@@ -180,12 +178,12 @@ func (r ExperimentRequest) Normalized() ExperimentRequest {
 
 // ResultIdentity is the canonical byte form of everything the request's
 // output depends on: the Normalized request with the execution-only
-// fields erased. Tenant routes queuing, Workers/RenderWorkers set
-// parallelism, Sweep picks a replay strategy — all four are pinned
-// bit-identical on the output by the engine's determinism tests, so two
-// requests differing only there produce the same stream and share one
-// identity. Everything else (scene, scale, layout, traversal, configs,
-// architecture, grid, shard) changes the rows and stays in the key.
+// fields erased. Tenant routes queuing and Workers/RenderWorkers set
+// parallelism (the engine's determinism tests pin the output
+// bit-identical across them); Sweep is ignored. Two requests differing
+// only there produce the same stream and share one identity. Everything
+// else (scene, scale, layout, traversal, configs, architecture, grid,
+// shard) changes the rows and stays in the key.
 // JSON field order is the struct declaration, so the encoding is stable.
 func (r ExperimentRequest) ResultIdentity() string {
 	n := r.Normalized()
@@ -461,15 +459,11 @@ func (c CacheConfig) Cache() (cache.Config, error) {
 // The trace provider is a runtime concern and stays nil; the engine (or
 // the server's shared cache) fills it in.
 func (r ExperimentRequest) ExpConfig() exp.Config {
-	cfg := exp.Config{
+	return exp.Config{
 		Scale:         r.Scale,
 		Scenes:        r.Scenes,
 		RenderWorkers: r.RenderWorkers,
 	}
-	if r.Sweep == SweepPerConfig {
-		cfg.Sweep = exp.SweepPerConfig
-	}
-	return cfg
 }
 
 // LayoutSpec resolves the sweep request's layout, defaulting to the

@@ -50,8 +50,8 @@ func FuzzReadTrace(f *testing.F) {
 	})
 }
 
-// FuzzSimulateConfigsGrouped differentially fuzzes the grouped
-// single-pass simulator against per-configuration serial simulation: any
+// FuzzSimulateConfigsGrouped differentially fuzzes Sweep, the grouped
+// single-pass simulator, against per-configuration serial simulation: any
 // (seed, size, line, ways, policy) drawn by the fuzzer that validates
 // must produce bit-identical Stats both ways. The seed corpus pins the
 // paper's evaluation points: the Table 6.x / 7.1 organizations (4KB
@@ -90,7 +90,7 @@ func FuzzSimulateConfigsGrouped(f *testing.F) {
 			}
 		}
 		want := tr.SimulateConfigs([]Config{cfg})
-		got, err := tr.SimulateConfigsGrouped(context.Background(), []Config{cfg})
+		got, err := Sweep(context.Background(), tr, []Config{cfg})
 		if err != nil {
 			t.Fatal(err)
 		}

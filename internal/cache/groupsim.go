@@ -247,8 +247,8 @@ type sweepPlan struct {
 // using LRU replacement are always coverable (Validate guarantees
 // power-of-two set counts); FIFO and random replacement depend on more
 // than the recency order, so they fall back to a dedicated Cache —
-// classifying when classify is set, matching what SimulateConfigs and
-// MissRatesConcurrent would have built.
+// classifying when classify is set (as SimulateConfigs builds), plain
+// otherwise.
 func planSweep(cfgs []Config, classify bool) (*sweepPlan, error) {
 	p := &sweepPlan{
 		groups: map[int]*groupSim{},
@@ -320,23 +320,47 @@ func (p *sweepPlan) stats() []Stats {
 	return out
 }
 
-// SimulateConfigsGrouped is the single-pass form of SimulateConfigs: it
-// groups every configuration sharing a line size and derives all of
-// their statistics — hits, misses and the cold/capacity/conflict split —
-// from one generalized stack simulation per line size, falling back to a
-// per-configuration classifying cache only for replacement policies the
-// stack algorithm cannot cover (FIFO, random). Results are bit-identical
-// to SimulateConfigs and index-aligned with cfgs; only the work changes,
-// from one trace walk per configuration to one per distinct line size.
-// Invalid configurations surface as *ConfigError before any replay.
-func (t *Trace) SimulateConfigsGrouped(ctx context.Context, cfgs []Config) ([]Stats, error) {
-	return SimulateConfigsGroupedStream(ctx, t, cfgs)
+// Sweep replays one address stream through every configuration of a
+// sweep and returns per-configuration statistics — hits, misses and the
+// cold/capacity/conflict split — index-aligned with cfgs. Every LRU
+// configuration sharing a line size is answered by one grouped stack
+// simulation; FIFO and random configurations, which the stack algorithm
+// cannot cover, get their own classifying cache. All simulators run in
+// one concurrent pass (ReplayStreamConcurrent). Results are
+// bit-identical to Trace.SimulateConfigs, the serial per-configuration
+// oracle; only the work changes, from one trace walk per configuration
+// to one per distinct line size. Invalid configurations surface as
+// *ConfigError before any replay.
+func Sweep(ctx context.Context, s AddrStream, cfgs []Config) ([]Stats, error) {
+	return sweep(ctx, s, cfgs, true)
 }
 
-// MissRatesGrouped is the single-pass form of MissRatesConcurrent: the
-// miss rate of every configuration, index-aligned with cfgs, from one
-// grouped stack simulation per line size (plain non-classifying caches
-// on the fallback path, as MissRatesConcurrent builds).
-func (t *Trace) MissRatesGrouped(ctx context.Context, cfgs []Config) ([]float64, error) {
-	return MissRatesGroupedStream(ctx, t, cfgs)
+// SweepMissRates is the rate-only form of Sweep: the miss rate of every
+// configuration, index-aligned with cfgs. Its fallbacks are plain
+// caches, which skip the fully-associative shadow that classification
+// needs — several times cheaper per address when a sweep carries many
+// FIFO or random configurations.
+func SweepMissRates(ctx context.Context, s AddrStream, cfgs []Config) ([]float64, error) {
+	stats, err := sweep(ctx, s, cfgs, false)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(stats))
+	for i, st := range stats {
+		out[i] = st.MissRate()
+	}
+	return out, nil
+}
+
+// sweep plans cfgs, replays s through the plan in one concurrent pass
+// and gathers the statistics; classify selects classifying fallbacks.
+func sweep(ctx context.Context, s AddrStream, cfgs []Config, classify bool) ([]Stats, error) {
+	p, err := planSweep(cfgs, classify)
+	if err != nil {
+		return nil, err
+	}
+	if err := ReplayStreamConcurrent(ctx, s, p.sinks()...); err != nil {
+		return nil, err
+	}
+	return p.stats(), nil
 }

@@ -65,43 +65,44 @@ func randomConfigs(rng *rand.Rand, n int) []Config {
 // TestSimulateConfigsGroupedMatchesSerial is the differential gate of
 // the grouped simulator: for randomized configurations over a structured
 // stream, every Stats field — accesses, misses and the cold/capacity/
-// conflict split — must equal per-configuration serial simulation
-// exactly.
+// conflict split — that Sweep reports must equal per-configuration
+// serial simulation exactly.
 func TestSimulateConfigsGroupedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tr := diffTrace(1234, 60000)
 	cfgs := randomConfigs(rng, 40)
 
 	want := tr.SimulateConfigs(cfgs)
-	got, err := tr.SimulateConfigsGrouped(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		if got[i] != want[i] {
-			t.Errorf("%v: grouped %+v != serial %+v", cfg, got[i], want[i])
+	for _, ns := range bothStreams(tr) {
+		got, err := Sweep(context.Background(), ns.s, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range cfgs {
+			if got[i] != want[i] {
+				t.Errorf("%s %v: grouped %+v != serial %+v", ns.name, cfg, got[i], want[i])
+			}
 		}
 	}
 }
 
-// TestMissRatesGroupedMatchesConcurrent checks the rate-only form
-// against the per-configuration concurrent replay.
+// TestMissRatesGroupedMatchesConcurrent checks the rate-only form, whose
+// FIFO/random fallbacks are plain caches, against the serial oracle.
 func TestMissRatesGroupedMatchesConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := diffTrace(99, 30000)
 	cfgs := randomConfigs(rng, 24)
 
-	want, err := tr.MissRatesConcurrent(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tr.MissRatesGrouped(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		if got[i] != want[i] {
-			t.Errorf("%v: grouped rate %v != concurrent %v", cfg, got[i], want[i])
+	want := tr.SimulateConfigs(cfgs)
+	for _, ns := range bothStreams(tr) {
+		got, err := SweepMissRates(context.Background(), ns.s, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range cfgs {
+			if got[i] != want[i].MissRate() {
+				t.Errorf("%s %v: grouped rate %v != serial %v", ns.name, cfg, got[i], want[i].MissRate())
+			}
 		}
 	}
 }
@@ -114,12 +115,12 @@ func TestGroupedDegenerateSweeps(t *testing.T) {
 	ctx := context.Background()
 	tr := diffTrace(5, 5000)
 
-	if stats, err := tr.SimulateConfigsGrouped(ctx, nil); err != nil || len(stats) != 0 {
+	if stats, err := Sweep(ctx, tr, nil); err != nil || len(stats) != 0 {
 		t.Errorf("empty sweep = %v, %v", stats, err)
 	}
 
 	empty := NewTrace(0)
-	stats, err := empty.SimulateConfigsGrouped(ctx, []Config{{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2}})
+	stats, err := Sweep(ctx, empty, []Config{{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2}})
 	if err != nil || stats[0] != (Stats{}) {
 		t.Errorf("empty trace = %+v, %v", stats, err)
 	}
@@ -129,7 +130,7 @@ func TestGroupedDegenerateSweeps(t *testing.T) {
 		{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2},
 	}
 	want := tr.SimulateConfigs(cfgs)
-	got, err := tr.SimulateConfigsGrouped(ctx, cfgs)
+	got, err := Sweep(ctx, tr, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +145,15 @@ func TestGroupedDegenerateSweeps(t *testing.T) {
 }
 
 // TestGroupedInvalidConfig verifies invalid configurations surface as
-// *ConfigError before any replay work, from both grouped entry points.
+// *ConfigError before any replay work, from both sweep entry points.
 func TestGroupedInvalidConfig(t *testing.T) {
 	tr := diffTrace(3, 100)
 	bad := []Config{{SizeBytes: 1 << 10, LineBytes: 48, Ways: 1}}
-	if _, err := tr.SimulateConfigsGrouped(context.Background(), bad); !isConfigError(err) {
-		t.Errorf("SimulateConfigsGrouped error = %v, want *ConfigError", err)
+	if _, err := Sweep(context.Background(), tr, bad); !isConfigError(err) {
+		t.Errorf("Sweep error = %v, want *ConfigError", err)
 	}
-	if _, err := tr.MissRatesGrouped(context.Background(), bad); !isConfigError(err) {
-		t.Errorf("MissRatesGrouped error = %v, want *ConfigError", err)
+	if _, err := SweepMissRates(context.Background(), tr, bad); !isConfigError(err) {
+		t.Errorf("SweepMissRates error = %v, want *ConfigError", err)
 	}
 }
 
@@ -167,7 +168,7 @@ func TestGroupedCancellation(t *testing.T) {
 	tr := diffTrace(11, 10000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.SimulateConfigsGrouped(ctx, []Config{{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2}}); err == nil {
+	if _, err := Sweep(ctx, tr, []Config{{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2}}); err == nil {
 		t.Error("cancelled grouped sweep returned nil error")
 	}
 }
@@ -187,7 +188,7 @@ func TestGroupsimObsCounters(t *testing.T) {
 		{SizeBytes: 4 << 10, LineBytes: 32, Ways: 2, Policy: FIFO},   // fallback
 		{SizeBytes: 4 << 10, LineBytes: 32, Ways: 2, Policy: Random}, // fallback
 	}
-	if _, err := tr.SimulateConfigsGrouped(context.Background(), cfgs); err != nil {
+	if _, err := Sweep(context.Background(), tr, cfgs); err != nil {
 		t.Fatal(err)
 	}
 	gs := reg.Sub("groupsim")

@@ -38,9 +38,10 @@ func TestReplayMetricsBulkFlush(t *testing.T) {
 }
 
 // TestReplayConcurrentMetricsConsistent drives the concurrent replay's
-// per-sink goroutines against the shared registry and checks the final
-// metric values are exact — under -race this also proves the metric
-// updates from concurrent sinks are data-race free.
+// per-sink goroutines against the shared registry, over a trace and an
+// opaque many-block stream, and checks the final metric values are
+// exact — under -race this also proves the metric updates from
+// concurrent sinks are data-race free.
 func TestReplayConcurrentMetricsConsistent(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.Attach(reg)
@@ -51,36 +52,34 @@ func TestReplayConcurrentMetricsConsistent(t *testing.T) {
 		tr.Access(uint64(i*64) % (1 << 18))
 	}
 	const nSinks = 8
-	sinks := make([]Sink, nSinks)
-	caches := make([]*Cache, nSinks)
-	for i := range sinks {
-		c, err := TryNew(Config{SizeBytes: 1 << (10 + uint(i%4)), LineBytes: 64, Ways: 2})
-		if err != nil {
+	rep := reg.Sub("replay")
+	// Small blocks on the opaque stream force many per-block cancellation
+	// checks across all goroutines.
+	for pass, s := range []AddrStream{tr, chunkedStream{tr, 512}} {
+		sinks := make([]Sink, nSinks)
+		caches := make([]*Cache, nSinks)
+		for i := range sinks {
+			c, err := TryNew(Config{SizeBytes: 1 << (10 + uint(i%4)), LineBytes: 64, Ways: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			caches[i] = c
+			sinks[i] = c.Sink()
+		}
+		if err := ReplayStreamConcurrent(context.Background(), s, sinks...); err != nil {
 			t.Fatal(err)
 		}
-		caches[i] = c
-		sinks[i] = c.Sink()
-	}
-	// Small chunks force many backlog gauge transitions across all
-	// goroutines.
-	if err := tr.replayConcurrent(context.Background(), 512, sinks); err != nil {
-		t.Fatal(err)
-	}
-
-	rep := reg.Sub("replay")
-	if got, want := rep.Counter("addresses").Value(), uint64(tr.Len())*nSinks; got != want {
-		t.Errorf("replay.addresses = %d, want %d", got, want)
-	}
-	if got := rep.Gauge("backlog_chunks").Value(); got != 0 {
-		t.Errorf("replay.backlog_chunks = %d after drain, want 0", got)
-	}
-	if n := rep.Timer("concurrent_pass").Count(); n != 1 {
-		t.Errorf("replay.concurrent_pass count = %d, want 1", n)
-	}
-	// The metrics must not have perturbed the simulation itself.
-	for i, c := range caches {
-		if c.Stats().Accesses != uint64(tr.Len()) {
-			t.Errorf("sink %d saw %d accesses, want %d", i, c.Stats().Accesses, tr.Len())
+		if got, want := rep.Counter("addresses").Value(), uint64(pass+1)*uint64(tr.Len())*nSinks; got != want {
+			t.Errorf("pass %d: replay.addresses = %d, want %d", pass, got, want)
+		}
+		if n := rep.Timer("concurrent_pass").Count(); n != uint64(pass+1) {
+			t.Errorf("pass %d: replay.concurrent_pass count = %d, want %d", pass, n, pass+1)
+		}
+		// The metrics must not have perturbed the simulation itself.
+		for i, c := range caches {
+			if c.Stats().Accesses != uint64(tr.Len()) {
+				t.Errorf("pass %d: sink %d saw %d accesses, want %d", pass, i, c.Stats().Accesses, tr.Len())
+			}
 		}
 	}
 }

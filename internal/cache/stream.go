@@ -8,10 +8,10 @@ import (
 	"texcache/internal/obs"
 )
 
-// Stream-based replay: every replay entry point in this file consumes an
+// Stream-based replay: both replay entry points in this file consume an
 // AddrStream instead of a materialized *Trace, so a compact delta-encoded
 // trace (internal/trace) replays block by block straight out of its
-// encoded form. *Trace arguments take the existing zero-copy paths — the
+// encoded form, and a *Trace replays through zero-copy views. The
 // statistics any sink accumulates are bit-identical regardless of the
 // stream's representation, because every cursor yields the exact
 // recorded address order.
@@ -58,26 +58,18 @@ func feedBlock(sink Sink, block []uint64) {
 	}
 }
 
-// replayCursor drains one cursor into one sink.
-func replayCursor(cur Cursor, sink Sink) {
-	for block := cur.Next(); block != nil; block = cur.Next() {
-		feedBlock(sink, block)
-	}
-}
-
 // ReplayStreamConcurrent feeds the whole stream to every sink
-// concurrently, one sink per goroutine. A materialized *Trace takes the
-// shared-chunk channel path of ReplayConcurrent; any other stream gives
-// each sink its own cursor, so sinks decode independently and no decoded
-// block ever crosses a goroutine boundary.
+// concurrently, one sink per goroutine. Each sink walks its own cursor:
+// a *Trace hands every sink read-only views of its addresses (no copy),
+// and any other stream is decoded independently per sink, so no decoded
+// block ever crosses a goroutine boundary. Replay order within each sink
+// is the serial order, so every deterministic sink ends bit-identical
+// to Replay.
 //
 // On cancellation the pass stops between blocks and the context's error
 // is returned; the sinks are then partially updated and should be
 // discarded.
 func ReplayStreamConcurrent(ctx context.Context, s AddrStream, sinks ...Sink) error {
-	if t, ok := s.(*Trace); ok {
-		return t.ReplayConcurrent(ctx, sinks...)
-	}
 	if len(sinks) == 0 {
 		return ctx.Err()
 	}
@@ -93,24 +85,13 @@ func ReplayStreamConcurrent(ctx context.Context, s AddrStream, sinks ...Sink) er
 		go func(sink Sink) {
 			defer wg.Done()
 			cur := s.Cursor()
-			if done == nil {
-				replayCursor(cur, sink)
-				return
-			}
-			bs, _ := sink.(batchSink)
 			for block := cur.Next(); block != nil; block = cur.Next() {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				if bs != nil {
-					bs.AccessBatch(block)
-					continue
-				}
-				for _, a := range block {
-					sink.Access(a)
-				}
+				feedBlock(sink, block)
 			}
 		}(sink)
 	}
@@ -122,84 +103,4 @@ func ReplayStreamConcurrent(ctx context.Context, s AddrStream, sinks ...Sink) er
 		flushReplay(reg, start, uint64(s.Len())*uint64(len(sinks)), "concurrent_pass")
 	}
 	return nil
-}
-
-// SimulateConfigsStream is SimulateConfigsConcurrent over any address
-// stream: one fresh classifying cache per configuration, all fed in a
-// single concurrent pass, statistics index-aligned with cfgs.
-func SimulateConfigsStream(ctx context.Context, s AddrStream, cfgs []Config) ([]Stats, error) {
-	caches := make([]*Cache, len(cfgs))
-	sinks := make([]Sink, len(cfgs))
-	for i, cfg := range cfgs {
-		c, err := TryNewClassifying(cfg)
-		if err != nil {
-			return nil, err
-		}
-		caches[i] = c
-		sinks[i] = c.Sink()
-	}
-	if err := ReplayStreamConcurrent(ctx, s, sinks...); err != nil {
-		return nil, err
-	}
-	out := make([]Stats, len(cfgs))
-	for i, c := range caches {
-		out[i] = c.Stats()
-	}
-	return out, nil
-}
-
-// MissRatesStream is MissRatesConcurrent over any address stream: the
-// miss rate of one plain cache per configuration from a single
-// concurrent pass, index-aligned with cfgs.
-func MissRatesStream(ctx context.Context, s AddrStream, cfgs []Config) ([]float64, error) {
-	caches := make([]*Cache, len(cfgs))
-	sinks := make([]Sink, len(cfgs))
-	for i, cfg := range cfgs {
-		c, err := TryNew(cfg)
-		if err != nil {
-			return nil, err
-		}
-		caches[i] = c
-		sinks[i] = c.Sink()
-	}
-	if err := ReplayStreamConcurrent(ctx, s, sinks...); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(cfgs))
-	for i, c := range caches {
-		out[i] = c.Stats().MissRate()
-	}
-	return out, nil
-}
-
-// SimulateConfigsGroupedStream is SimulateConfigsGrouped over any
-// address stream: per-configuration statistics from one grouped stack
-// simulation per distinct line size, bit-identical to per-configuration
-// replay.
-func SimulateConfigsGroupedStream(ctx context.Context, s AddrStream, cfgs []Config) ([]Stats, error) {
-	p, err := planSweep(cfgs, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := ReplayStreamConcurrent(ctx, s, p.sinks()...); err != nil {
-		return nil, err
-	}
-	return p.stats(), nil
-}
-
-// MissRatesGroupedStream is MissRatesGrouped over any address stream.
-func MissRatesGroupedStream(ctx context.Context, s AddrStream, cfgs []Config) ([]float64, error) {
-	p, err := planSweep(cfgs, false)
-	if err != nil {
-		return nil, err
-	}
-	if err := ReplayStreamConcurrent(ctx, s, p.sinks()...); err != nil {
-		return nil, err
-	}
-	stats := p.stats()
-	out := make([]float64, len(stats))
-	for i, st := range stats {
-		out[i] = st.MissRate()
-	}
-	return out, nil
 }

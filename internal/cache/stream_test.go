@@ -185,38 +185,22 @@ func TestReplayStreamConcurrentMatchesSerial(t *testing.T) {
 	}
 	ctx := context.Background()
 	want := tr.SimulateConfigs(cfgs)
-
-	got, err := SimulateConfigsStream(ctx, blindStream{tr}, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
-		if got[i] != want[i] {
-			t.Errorf("%+v: stream %+v != serial %+v", cfgs[i], got[i], want[i])
+	for _, ns := range bothStreams(tr) {
+		got, err := Sweep(ctx, ns.s, cfgs)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	grouped, err := SimulateConfigsGroupedStream(ctx, blindStream{tr}, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
-		if grouped[i] != want[i] {
-			t.Errorf("%+v: grouped stream %+v != serial %+v", cfgs[i], grouped[i], want[i])
+		rates, err := SweepMissRates(ctx, ns.s, cfgs)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	rates, err := MissRatesStream(ctx, blindStream{tr}, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gRates, err := MissRatesGroupedStream(ctx, blindStream{tr}, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
-		if rates[i] != want[i].MissRate() || gRates[i] != want[i].MissRate() {
-			t.Errorf("%+v: stream rates %v/%v != serial %v", cfgs[i], rates[i], gRates[i], want[i].MissRate())
+		for i := range cfgs {
+			if got[i] != want[i] {
+				t.Errorf("%s %+v: Sweep %+v != serial %+v", ns.name, cfgs[i], got[i], want[i])
+			}
+			if rates[i] != want[i].MissRate() {
+				t.Errorf("%s %+v: SweepMissRates %v != serial %v", ns.name, cfgs[i], rates[i], want[i].MissRate())
+			}
 		}
 	}
 }

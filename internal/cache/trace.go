@@ -120,6 +120,11 @@ func (t *Trace) Len() int { return len(t.Addrs) }
 // are views into Addrs, so iteration copies nothing.
 func (t *Trace) Cursor() Cursor { return &traceCursor{addrs: t.Addrs} }
 
+// replayChunkLen is the number of addresses a trace cursor hands out per
+// block: large enough that per-block overhead vanishes against the ~ns
+// cost of one Access, small enough that cancellation stays prompt.
+const replayChunkLen = 1 << 14
+
 // traceCursor hands out replayChunkLen-sized views of a trace.
 type traceCursor struct {
 	addrs []uint64

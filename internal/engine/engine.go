@@ -76,10 +76,6 @@ type Options struct {
 	// completion order, not request order. The callback runs on an engine
 	// goroutine and must not block on the result channel.
 	Progress func(Progress)
-	// Sweep, when set (sweepSet), overrides the batch Config's sweep
-	// replay mode. Both modes produce bit-identical experiment output.
-	Sweep    exp.SweepMode
-	sweepSet bool
 	// Traces, when non-nil, is the trace provider installed on every
 	// batch whose Config does not bring its own — the hook through which
 	// a long-running server shares one TraceCache (and its coalesced
@@ -128,12 +124,6 @@ func WithProgress(fn func(Progress)) Option { return func(o *Options) { o.Progre
 // WithTraceDir attaches a persistent trace store rooted at dir to the
 // engine's trace cache; empty disables the store.
 func WithTraceDir(dir string) Option { return func(o *Options) { o.TraceDir = dir } }
-
-// WithSweepMode forces every experiment in the batch to replay its
-// configuration sweeps in the given mode, overriding Config.Sweep.
-func WithSweepMode(m exp.SweepMode) Option {
-	return func(o *Options) { o.Sweep, o.sweepSet = m, true }
-}
 
 // WithPruning toggles Pareto-dominance pruning for grid requests.
 func WithPruning(on bool) Option { return func(o *Options) { o.Prune = on } }
@@ -204,9 +194,6 @@ func (e *Engine) Run(ctx context.Context, ids []string, cfg exp.Config) (<-chan 
 			return nil, err
 		}
 		cfg.Traces = p
-	}
-	if e.opts.sweepSet {
-		cfg.Sweep = e.opts.Sweep
 	}
 
 	out := make(chan Result, len(exps))

@@ -145,7 +145,7 @@ func gridGroupInto(ctx context.Context, g shard.TraceGroup, prov exp.TraceProvid
 		for j, u := range g.Units {
 			cfgs[j] = u.Config
 		}
-		stats, err := cache.SimulateConfigsGroupedStream(ctx, str, cfgs)
+		stats, err := cache.Sweep(ctx, str, cfgs)
 		if err != nil {
 			return err
 		}
@@ -170,11 +170,12 @@ func gridGroupInto(ctx context.Context, g shard.TraceGroup, prov exp.TraceProvid
 			rep.Note("pruned %s (%s, cost %d): dominated by measured %s", u.Tag(), u.Config, hw, by)
 			continue
 		}
-		stats, err := cache.SimulateConfigsStream(ctx, str, []cache.Config{u.Config})
+		c, err := cache.TryNewClassifying(u.Config)
 		if err != nil {
 			return err
 		}
-		s := stats[0]
+		cache.ReplayStream(str, c.Sink())
+		s := c.Stats()
 		pruner.Observe(shard.Point{
 			Trace: g.Key, Unit: u.Tag(), Label: u.Config.String(), Config: u.Config,
 			Accesses: s.Accesses, Misses: s.Misses, Cold: s.Cold, Cost: hw,

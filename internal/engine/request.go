@@ -68,9 +68,6 @@ func sweepColumns() []report.Column {
 // cost one render.
 func (e *Engine) runSweep(ctx context.Context, req api.ExperimentRequest) (<-chan Result, error) {
 	cfg := req.ExpConfig()
-	if e.opts.sweepSet {
-		cfg.Sweep = e.opts.Sweep
-	}
 	prov, err := e.traces()
 	if err != nil {
 		return nil, err
@@ -174,8 +171,8 @@ func archInto(ctx context.Context, req api.ExperimentRequest, cfg exp.Config, pr
 	return nil
 }
 
-// sweepInto does the sweep work: one trace, one (grouped or
-// per-configuration) replay pass, one table.
+// sweepInto does the sweep work: one trace, one grouped replay pass, one
+// table.
 func sweepInto(ctx context.Context, req api.ExperimentRequest, cfg exp.Config, prov exp.TraceProvider, rep report.Reporter) error {
 	key := exp.TraceKey{
 		Scene:     req.Scene,
@@ -187,12 +184,7 @@ func sweepInto(ctx context.Context, req api.ExperimentRequest, cfg exp.Config, p
 		return err
 	}
 	cfgs := req.CacheConfigs()
-	var stats []cache.Stats
-	if cfg.Sweep == exp.SweepPerConfig {
-		stats, err = cache.SimulateConfigsStream(ctx, str, cfgs)
-	} else {
-		stats, err = cache.SimulateConfigsGroupedStream(ctx, str, cfgs)
-	}
+	stats, err := cache.Sweep(ctx, str, cfgs)
 	if err != nil {
 		return err
 	}

@@ -39,15 +39,6 @@ func TestRunRequestSweep(t *testing.T) {
 		t.Errorf("sweep result %q output:\n%s", r.ID, r.Output)
 	}
 
-	// The per-config replay mode is bit-identical to grouped.
-	ch2, err := New(WithSweepMode(exp.SweepPerConfig)).RunRequest(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 := drainOne(t, ch2); r2.Err != nil || r2.Output != r.Output {
-		t.Errorf("per-config sweep differs from grouped (err %v)", r2.Err)
-	}
-
 	// An unknown scene fails validation before any work starts.
 	if _, err := New().RunRequest(context.Background(), sweepReq("no-such-scene")); err == nil {
 		t.Error("unknown scene sweep accepted")

@@ -64,7 +64,7 @@ func runReplacement(ctx context.Context, cfg Config, rep report.Reporter) error 
 				cfgs = append(cfgs, cache.Config{SizeBytes: size, LineBytes: 128, Ways: 2, Policy: p})
 			}
 		}
-		rates, err := sweepRates(ctx, cfg, tr, cfgs)
+		rates, err := cache.SweepMissRates(ctx, tr, cfgs)
 		if err != nil {
 			return err
 		}

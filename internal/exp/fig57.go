@@ -71,7 +71,7 @@ func runAssocSweep(ctx context.Context, cfg Config, rep report.Reporter, tr cach
 			cfgs = append(cfgs, cache.Config{SizeBytes: size, LineBytes: lineBytes, Ways: ways})
 		}
 	}
-	rates, err := sweepRates(ctx, cfg, tr, cfgs)
+	rates, err := cache.SweepMissRates(ctx, tr, cfgs)
 	if err != nil {
 		return err
 	}

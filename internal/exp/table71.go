@@ -98,7 +98,7 @@ func runTable71(ctx context.Context, cfg Config, rep report.Reporter) error {
 					cfgs = append(cfgs, cache.Config{SizeBytes: col.cacheSize, LineBytes: col.lineBytes, Ways: col.ways})
 				}
 			}
-			r, err := sweepRates(ctx, cfg, tr, cfgs)
+			r, err := cache.SweepMissRates(ctx, tr, cfgs)
 			if err != nil {
 				return err
 			}

@@ -13,11 +13,13 @@ import (
 	"time"
 
 	"texcache"
+	"texcache/internal/cache"
 )
 
 // TestCompactTraceDifferentialStats replays one rendered goblet frame
-// both materialized and compact-encoded through the serial, concurrent
-// and grouped simulation paths, comparing classified statistics exactly.
+// both materialized and compact-encoded through the serial oracle, both
+// sweep forms and the stack-distance profiler, comparing classified
+// statistics exactly.
 func TestCompactTraceDifferentialStats(t *testing.T) {
 	s := mustScene(t, "goblet", 4)
 	tr, _, err := s.Trace(texcache.LayoutSpec{Kind: texcache.Blocked, BlockW: 8},
@@ -38,17 +40,17 @@ func TestCompactTraceDifferentialStats(t *testing.T) {
 	ctx := context.Background()
 	want := tr.SimulateConfigs(cfgs)
 
-	streamed, err := texcache.SimulateConfigsStream(ctx, c, cfgs)
+	grouped, err := cache.Sweep(ctx, c, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped, err := texcache.SimulateConfigsGroupedStream(ctx, c, cfgs)
+	rates, err := cache.SweepMissRates(ctx, c, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		if streamed[i] != want[i] {
-			t.Errorf("%+v: compact concurrent stats %+v != serial %+v", cfg, streamed[i], want[i])
+		if rates[i] != want[i].MissRate() {
+			t.Errorf("%+v: compact sweep miss rate %v != serial %v", cfg, rates[i], want[i].MissRate())
 		}
 		if grouped[i] != want[i] {
 			t.Errorf("%+v: compact grouped stats %+v != serial %+v", cfg, grouped[i], want[i])
