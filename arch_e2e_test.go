@@ -11,11 +11,12 @@ import (
 	"testing"
 
 	"texcache"
+	"texcache/internal/arch"
 )
 
 // archTimeline renders one scene at scale 8 and captures its miss
 // timeline under the paper's 32KB 2-way 128B cache.
-func archTimeline(t *testing.T, scene string) *texcache.ArchTimeline {
+func archTimeline(t *testing.T, scene string) *arch.Timeline {
 	t.Helper()
 	s := mustScene(t, scene, 8)
 	tr, _, err := s.Trace(texcache.LayoutSpec{Kind: texcache.Blocked, BlockW: 8},
@@ -23,7 +24,7 @@ func archTimeline(t *testing.T, scene string) *texcache.ArchTimeline {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl, err := texcache.NewArchTimeline(
+	tl, err := arch.NewTimeline(
 		texcache.CacheConfig{SizeBytes: 32 << 10, LineBytes: 128, Ways: 2}, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +44,8 @@ func TestArchLatencyTolerance(t *testing.T) {
 		t.Run(scene, func(t *testing.T) {
 			tl := archTimeline(t, scene)
 
-			at := func(p texcache.ArchPipeline, lat int) texcache.ArchResult {
-				cfg := texcache.DefaultArch(tl.CacheConfig(), p)
+			at := func(p arch.Pipeline, lat int) arch.Result {
+				cfg := arch.Default(tl.CacheConfig(), p)
 				cfg.FillLatency = lat
 				res, err := tl.Simulate(cfg)
 				if err != nil {
@@ -52,9 +53,9 @@ func TestArchLatencyTolerance(t *testing.T) {
 				}
 				return res
 			}
-			blocking := at(texcache.ArchBlocking, 100)
-			prefetch := at(texcache.ArchPrefetch, 100)
-			bound := at(texcache.ArchPrefetch, 0)
+			blocking := at(arch.Blocking, 100)
+			prefetch := at(arch.Prefetch, 100)
+			bound := at(arch.Prefetch, 0)
 
 			if float64(blocking.TotalCyc) < 1.5*float64(prefetch.TotalCyc) {
 				t.Errorf("blocking %d cycles vs prefetch %d: want >= 1.5x",
@@ -66,7 +67,7 @@ func TestArchLatencyTolerance(t *testing.T) {
 			}
 			// Blocking pays every miss in full: its stall time must grow
 			// linearly with latency.
-			b200 := at(texcache.ArchBlocking, 200)
+			b200 := at(arch.Blocking, 200)
 			if b200.TotalCyc <= blocking.TotalCyc {
 				t.Errorf("blocking did not degrade with latency: %d at 100, %d at 200",
 					blocking.TotalCyc, b200.TotalCyc)

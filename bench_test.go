@@ -15,6 +15,9 @@ import (
 	"testing"
 
 	"texcache"
+	"texcache/internal/arch"
+	"texcache/internal/scenes"
+	"texcache/internal/trace"
 )
 
 func benchScale() int {
@@ -146,7 +149,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 	tr := gobletTrace(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var c *texcache.CompactTrace
+	var c *trace.Compact
 	for i := 0; i < b.N; i++ {
 		c = texcache.CompactTraceFromTrace(tr)
 	}
@@ -255,14 +258,14 @@ func BenchmarkResultCacheWarm(b *testing.B) {
 // serial scan plus merge overhead).
 func benchTraceGen(b *testing.B, workers int) {
 	layout := texcache.LayoutSpec{Kind: texcache.Blocked, BlockW: 8}
-	var scenes []*texcache.Scene
+	var all []*scenes.Scene
 	for _, name := range []string{"flight", "guitar", "goblet", "town"} {
-		scenes = append(scenes, mustScene(b, name, benchScale()))
+		all = append(all, mustScene(b, name, benchScale()))
 	}
 	b.ResetTimer()
 	var addrs uint64
 	for i := 0; i < b.N; i++ {
-		for _, s := range scenes {
+		for _, s := range all {
 			tr, _, err := s.TraceParallel(layout, s.DefaultTraversal(), workers)
 			if err != nil {
 				b.Fatal(err)
@@ -434,14 +437,14 @@ func BenchmarkSamplerTrilinear(b *testing.B) {
 // benchArch times the cycle recurrence of one texture-unit machine over
 // the Goblet trace. The timeline capture (the cache replay) is paid
 // once outside the loop, exactly as a latency or FIFO-depth sweep does.
-func benchArch(b *testing.B, p texcache.ArchPipeline) {
+func benchArch(b *testing.B, p arch.Pipeline) {
 	tr := gobletTrace(b)
-	tl, err := texcache.NewArchTimeline(
+	tl, err := arch.NewTimeline(
 		texcache.CacheConfig{SizeBytes: 32 << 10, LineBytes: 128, Ways: 2}, tr)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := texcache.DefaultArch(tl.CacheConfig(), p)
+	cfg := arch.Default(tl.CacheConfig(), p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -452,7 +455,7 @@ func benchArch(b *testing.B, p texcache.ArchPipeline) {
 }
 
 // BenchmarkArchBlocking times the blocking baseline's cycle loop.
-func BenchmarkArchBlocking(b *testing.B) { benchArch(b, texcache.ArchBlocking) }
+func BenchmarkArchBlocking(b *testing.B) { benchArch(b, arch.Blocking) }
 
 // BenchmarkArchPrefetch times the prefetching pipeline's cycle loop.
-func BenchmarkArchPrefetch(b *testing.B) { benchArch(b, texcache.ArchPrefetch) }
+func BenchmarkArchPrefetch(b *testing.B) { benchArch(b, arch.Prefetch) }

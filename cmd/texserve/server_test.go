@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"texcache"
+	"texcache/internal/api"
 )
 
 func testServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server) {
@@ -53,9 +54,9 @@ func TestHandlerErrors(t *testing.T) {
 		{"bad json", `{"scene":`, http.StatusBadRequest, texcache.RequestCodeBadRequest, ""},
 		{"unknown field", `{"scnee":"goblet"}`, http.StatusBadRequest, texcache.RequestCodeBadRequest, ""},
 		{"bad version", `{"v":9}`, http.StatusBadRequest, texcache.RequestCodeBadRequest, "v"},
-		{"unknown experiment", `{"experiments":["bogus"]}`, http.StatusNotFound, texcache.RequestCodeUnknownExperiment, "experiments"},
+		{"unknown experiment", `{"experiments":["bogus"]}`, http.StatusNotFound, api.CodeUnknownExperiment, "experiments"},
 		{"unknown scene", `{"scene":"nowhere","configs":[{"size_bytes":32768,"line_bytes":128,"ways":2}]}`,
-			http.StatusNotFound, texcache.RequestCodeUnknownScene, "scene"},
+			http.StatusNotFound, api.CodeUnknownScene, "scene"},
 		{"sweep without configs", `{"scene":"goblet"}`, http.StatusBadRequest, texcache.RequestCodeBadRequest, "configs"},
 		{"unknown sweep value", `{"scene":"goblet","sweep":"both","configs":[{"size_bytes":32768,"line_bytes":128,"ways":2}]}`,
 			http.StatusBadRequest, texcache.RequestCodeBadRequest, "sweep"},

@@ -2,6 +2,11 @@
 // traces — the raw material of the study. A saved trace can be replayed
 // through arbitrary cache configurations without re-rendering.
 //
+// Trace files are trace-store entries (internal/trace): a TXSTORE v2
+// header naming the trace's key, a SHA-256 checksum and the compact
+// delta-encoded addresses. A file recorded here is verified on read
+// exactly as the persistent store verifies its own entries.
+//
 // Usage:
 //
 //	textrace record -scene goblet -scale 4 -layout blocked -block 8 -o goblet.trace
@@ -20,6 +25,7 @@ import (
 	"texcache/internal/raster"
 	"texcache/internal/scenes"
 	"texcache/internal/texture"
+	"texcache/internal/trace"
 )
 
 func main() {
@@ -110,18 +116,25 @@ func record(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The engine's trace cache files this stream under the same key, so
+	// a recorded file is also a valid store entry.
+	key := trace.RenderKey(*scene, *scale, spec, trav)
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	n, err := tr.WriteTo(f)
-	if err != nil {
+	if err := trace.EncodeEntry(f, key, trace.CompactFromTrace(tr)); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
+	fi, err := os.Stat(*out)
+	if err != nil {
+		return err
+	}
+	n := fi.Size()
 	fmt.Printf("recorded %d accesses (%d textured fragments) to %s (%d bytes, %.2f bits/access)\n",
 		tr.Len(), r.Stats.FragmentsTextured, *out, n, 8*float64(n)/float64(tr.Len()))
 	return nil
@@ -185,20 +198,25 @@ func locate(args []string) error {
 	return nil
 }
 
-func loadTrace(path string) (*cache.Trace, error) {
-	f, err := os.Open(path)
+// loadTrace reads and verifies a trace file, returning its embedded key
+// and the decoded addresses.
+func loadTrace(path string) (trace.Key, *cache.Trace, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return trace.Key{}, nil, err
 	}
-	defer f.Close()
-	return cache.ReadTrace(f)
+	k, c, err := trace.DecodeEntry(raw)
+	if err != nil {
+		return trace.Key{}, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return k, c.Decode(), nil
 }
 
 func info(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("info: expected one trace file")
 	}
-	tr, err := loadTrace(args[0])
+	k, tr, err := loadTrace(args[0])
 	if err != nil {
 		return err
 	}
@@ -213,6 +231,13 @@ func info(args []string) error {
 	}
 	sd := cache.NewStackDist(32)
 	tr.Replay(sd)
+	fmt.Printf("scene:          %s (scale %d)\n", k.Scene, k.Scale)
+	fmt.Printf("layout:         %s\n", k.Layout)
+	fmt.Printf("traversal:      %s\n", k.Traversal)
+	if k.Options != "" {
+		fmt.Printf("options:        %s\n", k.Options)
+	}
+	fmt.Printf("codec:          %s\n", k.Version)
 	fmt.Printf("accesses:       %d\n", tr.Len())
 	fmt.Printf("address range:  [%d, %d] (%.2f MB span)\n", lo, hi, float64(hi-lo)/(1<<20))
 	fmt.Printf("distinct 32B lines: %d (%.2f MB touched)\n",
@@ -237,7 +262,7 @@ func sim(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("sim: expected one trace file")
 	}
-	tr, err := loadTrace(fs.Arg(0))
+	_, tr, err := loadTrace(fs.Arg(0))
 	if err != nil {
 		return err
 	}

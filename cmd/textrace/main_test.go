@@ -3,9 +3,13 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"texcache/internal/scenes"
 	"texcache/internal/texture"
+	"texcache/internal/trace"
 )
 
 func TestParseLayout(t *testing.T) {
@@ -46,6 +50,41 @@ func TestRecordInfoSimRoundTrip(t *testing.T) {
 	}
 	if err := sim([]string{"-size", "8192", "-line", "64", "-ways", "2", path}); err != nil {
 		t.Fatalf("sim: %v", err)
+	}
+
+	// The file is a store entry: its key names what was recorded and its
+	// addresses are the scene's trace, bit for bit.
+	k, got, err := loadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.Scene != "goblet" || k.Scale != 8 || k.Version != trace.CodecVersion {
+		t.Errorf("embedded key = %+v", k)
+	}
+	s, err := scenes.ByNameChecked("goblet", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := s.Trace(texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: 8}, s.DefaultTraversal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Addrs, want.Addrs) {
+		t.Errorf("recorded trace differs from a fresh render (%d vs %d addresses)", got.Len(), want.Len())
+	}
+}
+
+// TestLegacyTraceFileRejected pins the format change: a file in the old
+// TXTR stream format fails with an error naming its magic.
+func TestLegacyTraceFileRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.trace")
+	if err := os.WriteFile(path, []byte("TXTR\x01\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x02\x02"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []func([]string) error{info, sim} {
+		if err := run([]string{path}); err == nil || !strings.Contains(err.Error(), `bad store magic "TXTR`) {
+			t.Errorf("legacy file: err = %v, want a bad-magic error", err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"texcache"
+	"texcache/internal/cache"
 )
 
 // sweep8 is the eight-configuration sweep the acceptance criteria name:
@@ -86,8 +87,8 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 	}
 
 	results, err := texcache.Run(context.Background(), texcache.ExperimentRequest{
-		Experiments: ids, Scale: 8, Scenes: scenes,
-	}, texcache.WithWorkers(3))
+		Experiments: ids, Scale: 8, Scenes: scenes, Workers: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +166,8 @@ func TestCheckedConstructors(t *testing.T) {
 		if _, err := texcache.NewClassifyingCache(cfg); !errors.As(err, &ce) {
 			t.Errorf("NewClassifyingCache(%+v) = %v, want *ConfigError", cfg, err)
 		}
-		if _, err := texcache.NewSectoredCache(cfg, 32); !errors.As(err, &ce) {
-			t.Errorf("NewSectoredCache(%+v) = %v, want *ConfigError", cfg, err)
+		if _, err := cache.NewSectored(cfg, 32); !errors.As(err, &ce) {
+			t.Errorf("cache.NewSectored(%+v) = %v, want *ConfigError", cfg, err)
 		}
 	}
 

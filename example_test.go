@@ -40,9 +40,9 @@ func Example() {
 	// uncached bandwidth: 1.6 GB/s
 }
 
-// ExampleStackDist shows the one-pass working-set profiler: one replay
+// ExampleNewStackDist shows the one-pass working-set profiler: one replay
 // yields the fully-associative miss rate at every cache size.
-func ExampleStackDist() {
+func ExampleNewStackDist() {
 	sd := texcache.NewStackDist(32)
 	// A cyclic sweep over 2KB of addresses.
 	for i := 0; i < 10000; i++ {

@@ -20,7 +20,7 @@ import (
 func mixedSweep(seed int64, n int) []texcache.CacheConfig {
 	rng := rand.New(rand.NewSource(seed))
 	cfgs := sweep8()
-	policies := []texcache.Replacement{texcache.ReplaceLRU, texcache.ReplaceFIFO, texcache.ReplaceRandom}
+	policies := []cache.Replacement{cache.LRU, cache.FIFO, cache.Random}
 	for len(cfgs) < n {
 		line := 32 << rng.Intn(4)
 		lines := 1 << (3 + rng.Intn(8))

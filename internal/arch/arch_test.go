@@ -320,6 +320,9 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if first.Accesses != uint64(tr.Len()) || first.Utilization() <= 0 {
+		t.Fatalf("Simulate = %+v: want every access counted and a busy pipeline", first)
+	}
 	tl, err := NewTimeline(testCacheCfg(), tr)
 	if err != nil {
 		t.Fatal(err)

@@ -258,17 +258,9 @@ func (tc *TraceCache) produce(ctx context.Context, ck traceCacheKey) (cache.Addr
 	return c, nil
 }
 
-// storeKey canonicalizes a trace identity for the persistent store. The
-// layout and traversal structs render via %+v, so any new field (which
-// would change the address stream) automatically changes the key.
+// storeKey names a trace cache slot in the persistent store.
 func storeKey(ck traceCacheKey) trace.Key {
-	return trace.Key{
-		Scene:     ck.key.Scene,
-		Scale:     ck.scale,
-		Layout:    fmt.Sprintf("%+v", ck.key.Layout),
-		Traversal: fmt.Sprintf("%+v", ck.key.Traversal),
-		Version:   trace.CodecVersion,
-	}
+	return trace.RenderKey(ck.key.Scene, ck.scale, ck.key.Layout, ck.key.Traversal)
 }
 
 // effectiveRenderWorkers resolves the configured worker count.

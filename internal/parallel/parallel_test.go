@@ -67,6 +67,9 @@ func TestRunFragmentsConserved(t *testing.T) {
 	// The union of the generators' fragments equals a single-generator
 	// render: partitions neither drop nor duplicate work.
 	single := runStudy(t, StripPartition, 1)
+	if single.TotalFragments() == 0 {
+		t.Fatal("single generator rendered no fragments")
+	}
 	for _, p := range []Partition{ScanlineInterleave, StripPartition, TileInterleave} {
 		multi := runStudy(t, p, 4)
 		if multi.TotalFragments() != single.TotalFragments() {

@@ -6,12 +6,16 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"texcache/internal/obs"
+	"texcache/internal/raster"
+	"texcache/internal/texture"
 )
 
 // CodecVersion names the encoded trace format. It participates in every
@@ -42,6 +46,51 @@ func (k Key) canonical() string {
 		"\ntraversal=" + k.Traversal +
 		"\noptions=" + k.Options +
 		"\nversion=" + k.Version + "\n"
+}
+
+// RenderKey returns the key of the address stream a scene renders at the
+// given scale, layout and traversal. The layout and traversal structs
+// render via %+v, so any new field (which would change the address
+// stream) automatically changes the key.
+func RenderKey(scene string, scale int, layout texture.LayoutSpec, trav raster.Traversal) Key {
+	return Key{
+		Scene:     scene,
+		Scale:     scale,
+		Layout:    fmt.Sprintf("%+v", layout),
+		Traversal: fmt.Sprintf("%+v", trav),
+		Version:   CodecVersion,
+	}
+}
+
+// keyFields lists the canonical form's fields in order; parseKey walks
+// it to invert canonical.
+var keyFields = [...]string{"scene", "scale", "layout", "traversal", "options", "version"}
+
+// parseKey inverts canonical. Only the exact canonical form of some key
+// is accepted, so parseKey(s).canonical() == s whenever it succeeds.
+func parseKey(s string) (Key, error) {
+	var vals [len(keyFields)]string
+	rest := s
+	for i, name := range keyFields {
+		after, ok := strings.CutPrefix(rest, name+"=")
+		if !ok {
+			return Key{}, fmt.Errorf("trace: store key lacks field %q", name)
+		}
+		v, tail, ok := strings.Cut(after, "\n")
+		if !ok {
+			return Key{}, fmt.Errorf("trace: store key field %q unterminated", name)
+		}
+		vals[i], rest = v, tail
+	}
+	scale, err := strconv.Atoi(vals[1])
+	if err != nil {
+		return Key{}, fmt.Errorf("trace: store key scale %q: %w", vals[1], err)
+	}
+	k := Key{Scene: vals[0], Scale: scale, Layout: vals[2], Traversal: vals[3], Options: vals[4], Version: vals[5]}
+	if k.canonical() != s {
+		return Key{}, fmt.Errorf("trace: store key is not in canonical form")
+	}
+	return k, nil
 }
 
 // Hash returns the content address of the key: the hex SHA-256 of its
@@ -95,6 +144,72 @@ var storeMagic = [8]byte{'T', 'X', 'S', 'T', 'O', 'R', 'E', 2}
 // maxKeyLen bounds the untrusted key-length field on load.
 const maxKeyLen = 1 << 16
 
+// EncodeEntry writes one store entry for (k, c) to w: the header above
+// followed by the payload. Store.Save writes entries through it, and so
+// does any tool that wants a trace file the store can verify.
+func EncodeEntry(w io.Writer, k Key, c *Compact) error {
+	key := k.canonical()
+	hdr := make([]byte, 0, 8+4+len(key)+48)
+	hdr = append(hdr, storeMagic[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(key)))
+	hdr = append(hdr, key...)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(c.count))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(c.data)))
+	sum := sha256.Sum256(c.data)
+	hdr = append(hdr, sum[:]...)
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err := w.Write(c.data)
+	return err
+}
+
+// DecodeEntry parses and fully verifies one store entry: magic, key
+// length bound, canonical key echo, payload length, payload checksum and
+// the payload's block structure. It returns the embedded key, for the
+// caller to compare with the key it expected, and the trace, which
+// aliases raw. Every entry it accepts re-encodes to exactly raw.
+func DecodeEntry(raw []byte) (Key, *Compact, error) {
+	if len(raw) < len(storeMagic)+4 {
+		return Key{}, nil, fmt.Errorf("trace: store entry shorter than header")
+	}
+	if !bytes.Equal(raw[:8], storeMagic[:]) {
+		return Key{}, nil, fmt.Errorf("trace: bad store magic %q", raw[:8])
+	}
+	raw = raw[8:]
+	keyLen := binary.LittleEndian.Uint32(raw[:4])
+	raw = raw[4:]
+	if keyLen > maxKeyLen || uint64(len(raw)) < uint64(keyLen)+48 {
+		return Key{}, nil, fmt.Errorf("trace: store entry truncated in header")
+	}
+	k, err := parseKey(string(raw[:keyLen]))
+	if err != nil {
+		return Key{}, nil, err
+	}
+	raw = raw[keyLen:]
+	count := binary.LittleEndian.Uint64(raw[:8])
+	payloadLen := binary.LittleEndian.Uint64(raw[8:16])
+	var sum [32]byte
+	copy(sum[:], raw[16:48])
+	raw = raw[48:]
+	if uint64(len(raw)) != payloadLen {
+		return Key{}, nil, fmt.Errorf("trace: store payload is %d bytes, header says %d", len(raw), payloadLen)
+	}
+	if sha256.Sum256(raw) != sum {
+		return Key{}, nil, fmt.Errorf("trace: store payload checksum mismatch")
+	}
+	// Every address takes at least one varint byte; the bound also keeps
+	// a hostile count from wrapping negative in the int conversion.
+	if count > uint64(len(raw)) {
+		return Key{}, nil, fmt.Errorf("trace: store entry claims %d addresses in %d payload bytes", count, len(raw))
+	}
+	c := &Compact{data: raw, count: int(count)}
+	if err := c.validate(); err != nil {
+		return Key{}, nil, err
+	}
+	return k, c, nil
+}
+
 // Load returns the stored trace for key, or (nil, false) on any miss:
 // absent, truncated, checksum mismatch, wrong key echo, or undecodable.
 // Damaged entries are deleted so the regenerated trace can take the
@@ -136,36 +251,12 @@ func (s *Store) load(k Key) (*Compact, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < len(storeMagic)+4 {
-		return nil, fmt.Errorf("trace: store entry shorter than header")
-	}
-	if !bytes.Equal(raw[:8], storeMagic[:]) {
-		return nil, fmt.Errorf("trace: bad store magic %q", raw[:8])
-	}
-	raw = raw[8:]
-	keyLen := binary.LittleEndian.Uint32(raw[:4])
-	raw = raw[4:]
-	if keyLen > maxKeyLen || uint64(len(raw)) < uint64(keyLen)+48 {
-		return nil, fmt.Errorf("trace: store entry truncated in header")
-	}
-	if string(raw[:keyLen]) != k.canonical() {
-		return nil, fmt.Errorf("trace: store entry key mismatch")
-	}
-	raw = raw[keyLen:]
-	count := binary.LittleEndian.Uint64(raw[:8])
-	payloadLen := binary.LittleEndian.Uint64(raw[8:16])
-	var sum [32]byte
-	copy(sum[:], raw[16:48])
-	raw = raw[48:]
-	if uint64(len(raw)) != payloadLen {
-		return nil, fmt.Errorf("trace: store payload is %d bytes, header says %d", len(raw), payloadLen)
-	}
-	if sha256.Sum256(raw) != sum {
-		return nil, fmt.Errorf("trace: store payload checksum mismatch")
-	}
-	c := &Compact{data: raw, count: int(count)}
-	if err := c.validate(); err != nil {
+	got, c, err := DecodeEntry(raw)
+	if err != nil {
 		return nil, err
+	}
+	if got != k {
+		return nil, fmt.Errorf("trace: store entry key mismatch")
 	}
 	return c, nil
 }
@@ -193,24 +284,12 @@ func (s *Store) Save(k Key, c *Compact) error {
 }
 
 func (s *Store) save(k Key, c *Compact) error {
-	key := k.canonical()
-	hdr := make([]byte, 0, 8+4+len(key)+48)
-	hdr = append(hdr, storeMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(key)))
-	hdr = append(hdr, key...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(c.count))
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(c.data)))
-	sum := sha256.Sum256(c.data)
-	hdr = append(hdr, sum[:]...)
-
 	f, err := os.CreateTemp(s.dir, k.Hash()+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("trace: saving store entry: %w", err)
 	}
 	tmp := f.Name()
-	if _, err = f.Write(hdr); err == nil {
-		_, err = f.Write(c.data)
-	}
+	err = EncodeEntry(f, k, c)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"texcache"
+	"texcache/internal/cache"
+	"texcache/internal/scenes"
 )
 
 // bestOf3 times three runs of f and returns the fastest, rejecting
@@ -48,13 +50,13 @@ func TestTraceGenParallelSpeedup(t *testing.T) {
 	}
 
 	layout := texcache.LayoutSpec{Kind: texcache.Blocked, BlockW: 8}
-	var scenes []*texcache.Scene
+	var all []*scenes.Scene
 	for _, name := range []string{"flight", "guitar", "goblet", "town"} {
-		scenes = append(scenes, mustScene(t, name, 4))
+		all = append(all, mustScene(t, name, 4))
 	}
 	gen := func(workers int) func() {
 		return func() {
-			for _, s := range scenes {
+			for _, s := range all {
 				if _, _, err := s.TraceParallel(layout, s.DefaultTraversal(), workers); err != nil {
 					t.Fatal(err)
 				}
@@ -96,7 +98,7 @@ func TestBatchReplaySpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := texcache.CacheConfig{SizeBytes: 32 << 10, LineBytes: 128, Ways: 2}
-	newCache := func() *texcache.Cache {
+	newCache := func() *cache.Cache {
 		c, err := texcache.NewCache(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +107,7 @@ func TestBatchReplaySpeedup(t *testing.T) {
 	}
 	const block = 1 << 14 // Replay's chunk size
 	perAddress := func() {
-		var sink texcache.Sink = newCache().Sink()
+		var sink cache.Sink = newCache().Sink()
 		for _, a := range tr.Addrs {
 			sink.Access(a)
 		}

@@ -27,6 +27,7 @@ import (
 	"testing"
 
 	"texcache"
+	"texcache/internal/raster"
 )
 
 // traceHash hashes the address stream as little-endian uint64s.
@@ -151,9 +152,9 @@ func goldenTraversal(t *testing.T, name string) texcache.Traversal {
 	case "horizontal":
 		return texcache.Traversal{Order: texcache.Horizontal}
 	case "vertical":
-		return texcache.Traversal{Order: texcache.Vertical}
+		return texcache.Traversal{Order: raster.ColumnMajor}
 	case "hilbert":
-		return texcache.Traversal{Order: texcache.Hilbert}
+		return texcache.Traversal{Order: raster.HilbertOrder}
 	case "tiled8":
 		return texcache.Traversal{Order: texcache.Horizontal, TileW: 8, TileH: 8}
 	}

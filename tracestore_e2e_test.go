@@ -61,7 +61,7 @@ func TestCompactTraceDifferentialStats(t *testing.T) {
 	wantSD := texcache.NewStackDist(128)
 	tr.Replay(wantSD)
 	gotSD := texcache.NewStackDist(128)
-	texcache.ReplayStream(c, gotSD)
+	cache.ReplayStream(c, gotSD)
 	for _, size := range []int{4 << 10, 32 << 10, 256 << 10} {
 		if g, w := gotSD.MissRateAt(size), wantSD.MissRateAt(size); g != w {
 			t.Errorf("stack-distance miss rate at %d bytes: compact %v != trace %v", size, g, w)
